@@ -80,6 +80,7 @@ from .instance import (
     demo_functions,
     demo_instance,
     demo_placement,
+    derive_seeds,
     generate_functions,
     generate_placement,
     load_instance,

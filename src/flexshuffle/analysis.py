@@ -1,8 +1,7 @@
 """Closed-form thresholds and seeded Monte Carlo estimators.
 
 All logarithms are natural.  Every estimator derives the RNG stream of
-trial t from (master seed, t), so results do not depend on execution order
-or on how many worker threads evaluate the trials.
+trial t from (master seed, t), so results do not depend on execution order.
 """
 
 from __future__ import annotations
@@ -10,13 +9,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .coverage import build_coverage_graph, hopcroft_karp
-from .instance import Instance, generate_functions, generate_placement
+from .instance import Instance, derive_seeds, generate_placement, random_instance
 from .shuffle import greedy_raw_broadcasts, missing_messages
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -175,40 +173,18 @@ def expected_fixed_uncoded(K: int, p: float) -> FixedUncodedExpectation:
 # Monte Carlo estimators
 
 
-def _trial_seeds(seed: int, t: int, count: int = 2):
-    ss = np.random.SeedSequence((seed, t))
-    return [int(s) for s in ss.generate_state(count, np.uint64)]
-
-
-def _trial_instance(m, n, K, d, p, seed, t) -> Instance:
-    pseed, fseed = _trial_seeds(seed, t)
-    return Instance(
-        placement=generate_placement(m, n, p, pseed),
-        workload=generate_functions(m, K, d, fseed),
-    )
-
-
-def _map_trials(fn, trials: int, threads: int) -> list:
-    if threads <= 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(trials)))
-
-
 def _uncovered(instance: Instance) -> int:
     graph = build_coverage_graph(instance)
     return instance.k - len(hopcroft_karp(graph.adjacency, graph.n_nodes))
 
 
-def mc_no_shuffle(m, n, K, d, p, trials, seed, threads: int = 1) -> ProportionEstimate:
+def mc_no_shuffle(m, n, K, d, p, trials, seed) -> ProportionEstimate:
     """Fraction of random instances where a flexible assignment covers every
     function with zero communication."""
-
-    def trial(t):
-        return _uncovered(_trial_instance(m, n, K, d, p, seed, t)) == 0
-
-    results = _map_trials(trial, trials, threads)
-    return _proportion(sum(results), trials)
+    covered = sum(
+        _uncovered(random_instance(m, n, K, d, p, seed, t)) == 0 for t in range(trials)
+    )
+    return _proportion(covered, trials)
 
 
 @dataclass(frozen=True)
@@ -221,7 +197,6 @@ class UncoveredStats:
 def mc_uncovered(
     m, n, K, d, p, trials, seed,
     deviations=(5.0, 10.0, 15.0, 20.0),
-    threads: int = 1,
 ) -> UncoveredStats:
     """Sample statistics of the minimum uncovered-function count.
 
@@ -229,11 +204,10 @@ def mc_uncovered(
     mean stands in for the expectation, so quote them with the Monte Carlo
     standard error.
     """
-
-    def trial(t):
-        return _uncovered(_trial_instance(m, n, K, d, p, seed, t))
-
-    ys = np.asarray(_map_trials(trial, trials, threads), dtype=np.int64)
+    ys = np.asarray(
+        [_uncovered(random_instance(m, n, K, d, p, seed, t)) for t in range(trials)],
+        dtype=np.int64,
+    )
     counts = np.bincount(ys, minlength=K + 1)
     mean = _mean(ys)
     tails = tuple(
@@ -247,31 +221,26 @@ def mc_uncovered(
     return UncoveredStats(mean=mean, counts=tuple(int(c) for c in counts), tails=tails)
 
 
-def mc_outage(m, n, p, trials, seed, threads: int = 1) -> ProportionEstimate:
+def mc_outage(m, n, p, trials, seed) -> ProportionEstimate:
     """Fraction of random placements leaving at least one of the m messages
     held by no node; compare with missing_message_prob."""
-
-    def trial(t):
-        pseed = _trial_seeds(seed, t, 1)[0]
-        placement = generate_placement(m, n, p, pseed)
-        held = frozenset().union(*placement.side_info)
-        return len(held) < m
-
-    results = _map_trials(trial, trials, threads)
-    return _proportion(sum(results), trials)
+    outages = sum(
+        not generate_placement(m, n, p, derive_seeds(seed, t)[0]).cells.any(axis=0).all()
+        for t in range(trials)
+    )
+    return _proportion(outages, trials)
 
 
-def mc_fixed_uncoded(K, p, trials, seed, threads: int = 1) -> MeanEstimate:
+def mc_fixed_uncoded(K, p, trials, seed) -> MeanEstimate:
     """Mean uncoded transmissions when function k is served only by its own
     pre-placed node: per function, 2 minus the inputs that node holds."""
 
     def trial(t):
-        pseed = _trial_seeds(seed, t, 1)[0]
-        rng = np.random.default_rng(pseed)
+        rng = np.random.default_rng(derive_seeds(seed, t)[0])
         held = rng.random((K, 2)) < p
         return float((2 - held.sum(axis=1)).sum())
 
-    return _mean(_map_trials(trial, trials, threads))
+    return _mean([trial(t) for t in range(trials)])
 
 
 def fixed_assignment_nodes(K: int, n: int, nodes_per_function: int) -> tuple[tuple[int, ...], ...]:
@@ -283,25 +252,24 @@ def fixed_assignment_nodes(K: int, n: int, nodes_per_function: int) -> tuple[tup
 
 
 def _fixed_covered(instance: Instance, groups) -> bool:
-    side = instance.placement.side_info
-    for (j1, j2), nodes in zip(instance.workload.functions, groups):
-        if not any(j1 in side[i] and j2 in side[i] for i in nodes):
-            return False
-    return True
+    """Whether every function k has a node in ``groups[k]`` holding both of
+    its inputs."""
+    cells = instance.placement.cells
+    nodes = np.array(groups, dtype=np.intp)
+    inputs = instance.workload.inputs
+    return bool((cells[nodes, inputs[:, :1]] & cells[nodes, inputs[:, 1:]]).any(axis=1).all())
 
 
 def mc_fixed_no_shuffle(
-    m, n, K, d, p, trials, seed, nodes_per_function: int = 1, threads: int = 1
+    m, n, K, d, p, trials, seed, nodes_per_function: int = 1
 ) -> ProportionEstimate:
     """Fraction of instances where every function is covered by one of its
     pre-placed nodes (chosen before the placement is revealed)."""
     groups = fixed_assignment_nodes(K, n, nodes_per_function)
-
-    def trial(t):
-        return _fixed_covered(_trial_instance(m, n, K, d, p, seed, t), groups)
-
-    results = _map_trials(trial, trials, threads)
-    return _proportion(sum(results), trials)
+    covered = sum(
+        _fixed_covered(random_instance(m, n, K, d, p, seed, t), groups) for t in range(trials)
+    )
+    return _proportion(covered, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +300,15 @@ class SweepPoint:
     error: str
 
 
+# Every float column, in field order (annotations are strings here).
+_FLOAT_COLUMNS = tuple(f.name for f in fields(SweepPoint) if f.type == "float")
+
+
+def _point(**columns) -> SweepPoint:
+    """A SweepPoint holding NaN in every float column not given."""
+    return SweepPoint(**{**dict.fromkeys(_FLOAT_COLUMNS, math.nan), **columns})
+
+
 def sweep(
     configs,
     p_values,
@@ -339,54 +316,42 @@ def sweep(
     seed: int,
     compare_fixed: bool = False,
     nodes_per_function: int = 1,
-    threads: int = 1,
 ) -> list[SweepPoint]:
     """One SweepPoint per ((m, n, K, d), p) pair.
 
     Each point gets its own seed derived from (seed, config index, p index);
-    a failing point is recorded in its ``error`` column and the sweep moves
-    on.  The greedy broadcast mean is taken over non-outage trials only and
-    is NaN if every trial outaged; fixed-assignment columns are NaN unless
-    ``compare_fixed`` is set.
+    a failing point is recorded in its ``error`` column, with NaN in every
+    float column but ``p``, and the sweep moves on.  The greedy broadcast
+    mean is taken over non-outage trials only and is NaN if every trial
+    outaged; fixed-assignment columns are NaN unless ``compare_fixed`` is
+    set.
     """
     points = []
     for ci, (m, n, K, d) in enumerate(configs):
         for pi, p in enumerate(p_values):
-            point_seed = int(
-                np.random.SeedSequence((seed, ci, pi)).generate_state(1, np.uint64)[0]
-            )
+            point_seed = derive_seeds(seed, ci, pi)[0]
             try:
-                points.append(
-                    _sweep_point(
-                        m, n, K, d, p, trials, point_seed,
-                        compare_fixed, nodes_per_function, threads,
-                    )
+                point = _sweep_point(
+                    m, n, K, d, p, trials, point_seed, compare_fixed, nodes_per_function
                 )
             except Exception as exc:  # recorded, sweep continues
-                points.append(
-                    SweepPoint(
-                        m=m, n=n, K=K, d=d, p=p, trials=trials, seed=point_seed,
-                        no_shuffle_fraction=math.nan, no_shuffle_halfwidth=math.nan,
-                        mean_uncovered=math.nan, mean_uncovered_halfwidth=math.nan,
-                        mean_tun_greedy=math.nan, mean_tun_greedy_halfwidth=math.nan,
-                        outage_fraction=math.nan, outage_halfwidth=math.nan,
-                        fixed_no_shuffle_fraction=math.nan, fixed_no_shuffle_halfwidth=math.nan,
-                        fixed_mean_uncoded=math.nan, fixed_mean_uncoded_halfwidth=math.nan,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
+                point = _point(
+                    m=m, n=n, K=K, d=d, p=p, trials=trials, seed=point_seed,
+                    error=f"{type(exc).__name__}: {exc}",
                 )
+            points.append(point)
     return points
 
 
 def _sweep_point(
-    m, n, K, d, p, trials, point_seed, compare_fixed, nodes_per_function, threads
+    m, n, K, d, p, trials, point_seed, compare_fixed, nodes_per_function
 ) -> SweepPoint:
     groups = (
         fixed_assignment_nodes(K, n, nodes_per_function) if compare_fixed else None
     )
 
     def trial(t):
-        inst = _trial_instance(m, n, K, d, p, point_seed, t)
+        inst = random_instance(m, n, K, d, p, point_seed, t)
         outage = bool(missing_messages(inst))
         y = _uncovered(inst)
         if outage:
@@ -398,32 +363,38 @@ def _sweep_point(
         covered_fixed = _fixed_covered(inst, groups) if groups else False
         return y, greedy, outage, covered_fixed
 
-    rows = _map_trials(trial, trials, threads)
+    rows = [trial(t) for t in range(trials)]
     ys = [r[0] for r in rows]
     greedy_sizes = [r[1] for r in rows if r[1] is not None]
     no_shuffle = _proportion(sum(1 for y in ys if y == 0), trials)
     outage = _proportion(sum(1 for r in rows if r[2]), trials)
     mean_y = _mean(ys)
-    mean_greedy = _mean(greedy_sizes) if greedy_sizes else None
-    if compare_fixed:
-        fixed_cov = _proportion(sum(1 for r in rows if r[3]), trials)
-        fixed_tx = mc_fixed_uncoded(K, p, trials, point_seed, threads=threads)
-    return SweepPoint(
+    columns = dict(
         m=m, n=n, K=K, d=d, p=p, trials=trials, seed=point_seed,
         no_shuffle_fraction=no_shuffle.fraction,
         no_shuffle_halfwidth=no_shuffle.halfwidth,
         mean_uncovered=mean_y.mean,
         mean_uncovered_halfwidth=mean_y.halfwidth,
-        mean_tun_greedy=mean_greedy.mean if mean_greedy else math.nan,
-        mean_tun_greedy_halfwidth=mean_greedy.halfwidth if mean_greedy else math.nan,
         outage_fraction=outage.fraction,
         outage_halfwidth=outage.halfwidth,
-        fixed_no_shuffle_fraction=fixed_cov.fraction if compare_fixed else math.nan,
-        fixed_no_shuffle_halfwidth=fixed_cov.halfwidth if compare_fixed else math.nan,
-        fixed_mean_uncoded=fixed_tx.mean if compare_fixed else math.nan,
-        fixed_mean_uncoded_halfwidth=fixed_tx.halfwidth if compare_fixed else math.nan,
         error="",
     )
+    if greedy_sizes:
+        mean_greedy = _mean(greedy_sizes)
+        columns.update(
+            mean_tun_greedy=mean_greedy.mean,
+            mean_tun_greedy_halfwidth=mean_greedy.halfwidth,
+        )
+    if compare_fixed:
+        fixed_cov = _proportion(sum(1 for r in rows if r[3]), trials)
+        fixed_tx = mc_fixed_uncoded(K, p, trials, point_seed)
+        columns.update(
+            fixed_no_shuffle_fraction=fixed_cov.fraction,
+            fixed_no_shuffle_halfwidth=fixed_cov.halfwidth,
+            fixed_mean_uncoded=fixed_tx.mean,
+            fixed_mean_uncoded_halfwidth=fixed_tx.halfwidth,
+        )
+    return _point(**columns)
 
 
 CSV_SCHEMA_VERSION = 1

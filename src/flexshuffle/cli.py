@@ -25,14 +25,7 @@ from .errors import (
     Outage,
     ParseError,
 )
-from .instance import (
-    Instance,
-    demo_instance,
-    generate_functions,
-    generate_placement,
-    instance_to_text,
-    load_instance,
-)
+from .instance import demo_instance, instance_to_text, load_instance, random_instance
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -114,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="add columns for pre-placed (placement-blind) assignments",
     )
     sweep.add_argument("--fixed-nodes-per-function", type=int, default=1)
-    sweep.add_argument("--threads", type=int, default=1)
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.add_argument("--out", help="output path (default stdout)")
 
@@ -160,10 +152,7 @@ def cmd_gen(args) -> int:
         if not 0.0 <= args.p <= 1.0 or args.m < 1 or args.n < 1 or args.K < 0:
             print("gen: parameters out of range", file=sys.stderr)
             return EXIT_USAGE
-        instance = Instance(
-            placement=generate_placement(args.m, args.n, args.p, args.seed),
-            workload=generate_functions(args.m, args.K, args.d, args.seed + 1),
-        )
+        instance = random_instance(args.m, args.n, args.K, args.d, args.p, args.seed)
     _emit(instance_to_text(instance), args.out)
     return EXIT_OK
 
@@ -222,7 +211,6 @@ def cmd_sweep(args) -> int:
         seed=args.seed,
         compare_fixed=args.compare_fixed,
         nodes_per_function=args.fixed_nodes_per_function,
-        threads=args.threads,
     )
     if args.format == "json":
         import math as _math

@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvariantViolation
 from .instance import Instance
 
@@ -75,15 +77,16 @@ class MatchingResult:
 
 def build_coverage_graph(instance: Instance) -> CoverageGraph:
     """Edge (k, i) present iff node i holds both inputs of function k."""
-    side = instance.placement.side_info
-    adjacency = []
-    for j1, j2 in instance.workload.functions:
-        adjacency.append(
-            tuple(i for i, s in enumerate(side) if j1 in s and j2 in s)
-        )
-    return CoverageGraph(
-        k_functions=instance.k, n_nodes=instance.n, adjacency=tuple(adjacency)
-    )
+    K = instance.k
+    cells = instance.placement.cells
+    j1, j2 = instance.workload.inputs.T
+    # nonzero walks the (K, n) matrix row by row, so each function's nodes
+    # come out ascending and the functions in order.
+    ks, nodes = np.nonzero((cells[:, j1] & cells[:, j2]).T)
+    ends = np.cumsum(np.bincount(ks, minlength=K)).tolist()
+    nodes = nodes.tolist()
+    adjacency = tuple(tuple(nodes[a:b]) for a, b in zip([0] + ends[:-1], ends))
+    return CoverageGraph(k_functions=K, n_nodes=instance.n, adjacency=adjacency)
 
 
 def hopcroft_karp(

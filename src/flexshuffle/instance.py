@@ -9,6 +9,7 @@ serialize to a line-oriented text format (see ``save_instance``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,37 +27,75 @@ _DEMO_SIDE_INFO = ({0, 2, 4}, {1, 3, 5}, {1, 4, 5}, {0, 2, 3})
 _DEMO_FUNCTIONS = ((0, 1), (1, 2), (3, 4))
 
 
-@dataclass(frozen=True)
+def _check_dimensions(m: int, n: int) -> None:
+    if m < 1 or n < 1:
+        raise InvariantViolation("positive-dimensions", f"m={m}, n={n}")
+
+
+@dataclass(frozen=True, eq=False)
 class Placement:
     """Which messages each node holds.
 
-    ``p`` and ``seed`` are generation metadata and may be ``None`` for
-    hand-built placements.
+    ``cells[i, j]`` is True when node i holds message j.  The array is a
+    read-only copy of the one passed in; ``side_info`` is derived from it
+    on first access.  ``p`` and ``seed`` are generation metadata and may
+    be ``None`` for hand-built placements.
     """
 
     m: int
     n: int
-    side_info: tuple[frozenset[int], ...]
+    cells: np.ndarray
     p: float | None = None
     seed: int | None = None
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise InvariantViolation("positive-dimensions", f"m={self.m}, n={self.n}")
-        if len(self.side_info) != self.n:
+        _check_dimensions(self.m, self.n)
+        cells = np.array(self.cells, dtype=bool)
+        if cells.shape != (self.n, self.m):
             raise InvariantViolation(
-                "side-info-length", f"{len(self.side_info)} sets for n={self.n} nodes"
+                "cells-shape", f"{cells.shape} for n={self.n} nodes, m={self.m} messages"
             )
-        for i, s in enumerate(self.side_info):
+        cells.flags.writeable = False
+        object.__setattr__(self, "cells", cells)
+
+    @classmethod
+    def from_sets(cls, m: int, n: int, side_info, p=None, seed=None) -> Placement:
+        """Placement from one set of held message indices per node."""
+        _check_dimensions(m, n)
+        side = tuple(frozenset(s) for s in side_info)
+        if len(side) != n:
+            raise InvariantViolation("side-info-length", f"{len(side)} sets for n={n} nodes")
+        cells = np.zeros((n, m), dtype=bool)
+        for i, s in enumerate(side):
             for j in s:
-                if not 0 <= j < self.m:
+                if not 0 <= j < m:
                     raise InvariantViolation(
-                        "message-index-range", f"node {i} holds {j}, valid range [0, {self.m})"
+                        "message-index-range", f"node {i} holds {j}, valid range [0, {m})"
                     )
+            cells[i, list(s)] = True
+        placement = cls(m=m, n=n, cells=cells, p=p, seed=seed)
+        placement.__dict__["side_info"] = side  # the view, already built
+        return placement
+
+    @functools.cached_property
+    def side_info(self) -> tuple[frozenset[int], ...]:
+        """Per node, the frozenset of message indices it holds."""
+        return tuple(frozenset(np.flatnonzero(row).tolist()) for row in self.cells)
 
     def holders(self, j: int) -> tuple[int, ...]:
         """Nodes holding message j, ascending."""
-        return tuple(i for i in range(self.n) if j in self.side_info[i])
+        return tuple(np.flatnonzero(self.cells[:, j]).tolist())
+
+    def _key(self):
+        return (self.m, self.n, self.p, self.seed)
+
+    def __eq__(self, other):
+        if not isinstance(other, Placement):
+            return NotImplemented
+        return self._key() == other._key() and np.array_equal(self.cells, other.cells)
+
+    def __hash__(self):
+        return hash((self._key(), self.cells.tobytes()))
 
 
 @dataclass(frozen=True)
@@ -90,6 +129,13 @@ class FunctionSet:
     @property
     def k(self) -> int:
         return len(self.functions)
+
+    @functools.cached_property
+    def inputs(self) -> np.ndarray:
+        """Read-only (K, 2) index array: row k holds function k's inputs."""
+        inputs = np.array(self.functions, dtype=np.intp).reshape(-1, 2)
+        inputs.flags.writeable = False
+        return inputs
 
     def used_messages(self) -> frozenset[int]:
         return frozenset(j for pair in self.functions for j in pair)
@@ -135,16 +181,12 @@ def generate_placement(m: int, n: int, p: float, seed: int) -> Placement:
     if m < 1 or n < 1:
         raise ValueError(f"m and n must be >= 1, got m={m}, n={n}")
     rng = np.random.default_rng(seed)
-    cells = rng.random((n, m)) < p
-    side = tuple(frozenset(int(j) for j in np.flatnonzero(row)) for row in cells)
-    return Placement(m=m, n=n, side_info=side, p=p, seed=seed)
+    return Placement(m=m, n=n, cells=rng.random((n, m)) < p, p=p, seed=seed)
 
 
 def demo_placement() -> Placement:
     """The fixed 6-message, 4-node walkthrough placement."""
-    return Placement(
-        m=6, n=4, side_info=tuple(frozenset(s) for s in _DEMO_SIDE_INFO)
-    )
+    return Placement.from_sets(6, 4, _DEMO_SIDE_INFO)
 
 
 def generate_functions(m: int, K: int, d: int, seed: int) -> FunctionSet:
@@ -200,10 +242,23 @@ def demo_instance() -> Instance:
     return Instance(placement=demo_placement(), workload=demo_functions())
 
 
-def random_instance(m: int, n: int, K: int, d: int, p: float, seed: int) -> Instance:
-    """Placement and workload from independent streams derived from one seed."""
-    ss = np.random.SeedSequence((seed, 0))
-    pseed, fseed = (int(s) for s in ss.generate_state(2, np.uint64))
+def derive_seeds(*entropy: int, count: int = 1) -> list[int]:
+    """``count`` independent 64-bit seeds drawn from ``SeedSequence(entropy)``.
+
+    The one place seeds are derived: instances, Monte Carlo trials and
+    sweep points each name their stream by a tuple of integers.
+    """
+    state = np.random.SeedSequence(entropy).generate_state(count, np.uint64)
+    return [int(s) for s in state]
+
+
+def random_instance(
+    m: int, n: int, K: int, d: int, p: float, seed: int, trial: int = 0
+) -> Instance:
+    """Placement and workload from independent streams derived from
+    (seed, trial); Monte Carlo trial t of a run seeded ``seed`` is
+    ``random_instance(..., seed, t)``."""
+    pseed, fseed = derive_seeds(seed, trial, count=2)
     return Instance(
         placement=generate_placement(m, n, p, pseed),
         workload=generate_functions(m, K, d, fseed),
@@ -270,6 +325,8 @@ def instance_from_text(text: str) -> Instance:
                 raise ParseError(f"unsupported format version {version}", lineno)
             saw_format = True
             continue
+        if key in header:
+            raise ParseError(f"field {key}: repeated header field", lineno)
         if key in ("m", "n", "K", "d", "seed"):
             if len(tokens) != 2:
                 raise ParseError(f"field {key}: expected one value", lineno)
@@ -279,8 +336,13 @@ def instance_from_text(text: str) -> Instance:
                 header["p"] = float(tokens[1])
             except (IndexError, ValueError):
                 raise ParseError("field p: expected a float", lineno)
+            if not 0.0 <= header["p"] <= 1.0:  # also rejects nan
+                raise ParseError(f"field p: {tokens[1]} is not in [0, 1]", lineno)
         elif key == "node":
-            node_lines.append((lineno, [_parse_int(t, "node entry", lineno) for t in tokens[1:]]))
+            entries = [_parse_int(t, "node entry", lineno) for t in tokens[1:]]
+            if len(set(entries)) != len(entries):
+                raise ParseError("node line repeats a message index", lineno)
+            node_lines.append((lineno, entries))
         elif key == "func":
             if len(tokens) != 3:
                 raise ParseError("func line needs exactly two message indices", lineno)
@@ -299,10 +361,10 @@ def instance_from_text(text: str) -> Instance:
         raise ParseError(f"expected {n} node lines, found {len(node_lines)}")
     if len(func_lines) != k:
         raise ParseError(f"expected {k} func lines, found {len(func_lines)}")
-    placement = Placement(
-        m=m,
-        n=n,
-        side_info=tuple(frozenset(entries) for _, entries in node_lines),
+    placement = Placement.from_sets(
+        m,
+        n,
+        [entries for _, entries in node_lines],
         p=float(header["p"]) if "p" in header else None,
         seed=int(header["seed"]) if "seed" in header else None,
     )
@@ -320,7 +382,7 @@ def instance_from_text(text: str) -> Instance:
 
 def total_side_info(placement: Placement) -> int:
     """Sum of |S_i| over nodes; Binomial(m*n, p) for generated placements."""
-    return sum(len(s) for s in placement.side_info)
+    return int(placement.cells.sum())
 
 
 def expected_side_info(m: int, n: int, p: float) -> tuple[float, float]:

@@ -48,8 +48,8 @@ class IntermediatePlan:
 
 def missing_messages(instance: Instance) -> tuple[int, ...]:
     """Messages used by some function but held by no node (outage set)."""
-    held = frozenset().union(*instance.placement.side_info)
-    return tuple(sorted(instance.workload.used_messages() - held))
+    held = instance.placement.cells.any(axis=0)
+    return tuple(j for j in sorted(instance.workload.used_messages()) if not held[j])
 
 
 def _missing_masks(instance: Instance) -> list[list[int]]:
@@ -62,6 +62,13 @@ def _missing_masks(instance: Instance) -> list[list[int]]:
         pair_mask = (1 << j1) | (1 << j2)
         out.append([pair_mask & ~sm for sm in side_masks])
     return out
+
+
+def _missing_counts(instance: Instance) -> np.ndarray:
+    """counts[k, i]: how many of function k's inputs node i lacks (0-2)."""
+    lacks = ~instance.placement.cells
+    j1, j2 = instance.workload.inputs.T
+    return (lacks[:, j1].astype(np.int64) + lacks[:, j2]).T
 
 
 def _augmented_adjacency(missing: list[list[int]], x_mask: int) -> list[tuple[int, ...]]:
@@ -91,8 +98,7 @@ def _check_solvable(instance: Instance) -> None:
         raise Infeasible(f"K={instance.k} functions but only n={instance.n} nodes")
 
 
-def _plan(instance: Instance, x_mask: int, matching: dict[int, int]) -> UncodedPlan:
-    messages = tuple(_mask_bits(x_mask))
+def _plan(instance: Instance, messages: tuple[int, ...], matching: dict[int, int]) -> UncodedPlan:
     senders = tuple((j, instance.placement.holders(j)[0]) for j in messages)
     return UncodedPlan(
         broadcast_messages=messages,
@@ -117,7 +123,7 @@ def min_raw_broadcasts(instance: Instance, budget: int = 8) -> UncodedPlan:
     missing = _missing_masks(instance)
     base = hopcroft_karp(_augmented_adjacency(missing, 0), n)
     if len(base) == K:
-        return _plan(instance, 0, base)
+        return _plan(instance, (), base)
     candidates = sorted(set(b for row in missing for mm in row for b in _mask_bits(mm)))
     for size in range(1, min(budget, len(candidates)) + 1):
         for combo in itertools.combinations(candidates, size):
@@ -125,7 +131,7 @@ def min_raw_broadcasts(instance: Instance, budget: int = 8) -> UncodedPlan:
             adjacency = _augmented_adjacency(missing, x_mask)
             matching = hopcroft_karp(adjacency, n, initial=base)
             if len(matching) == K:
-                return _plan(instance, x_mask, matching)
+                return _plan(instance, combo, matching)
     raise BudgetExceeded(budget)
 
 
@@ -163,32 +169,34 @@ def greedy_raw_broadcasts(instance: Instance) -> UncodedPlan:
     broadcast only ever completes edges whose last missing message it is.
     """
     _check_solvable(instance)
-    K, n = instance.k, instance.n
-    remaining = _missing_masks(instance)
+    K = instance.k
+    functions = instance.workload.functions
+    # remaining[k][i]: how many inputs of function k node i still lacks.
+    remaining = _missing_counts(instance).tolist()
+    # by_message[j]: the (function, node) pairs whose node lacks input j.
+    lacks = ~instance.placement.cells
     by_message: dict[int, list[tuple[int, int]]] = {}
-    for k, row in enumerate(remaining):
-        for i, mm in enumerate(row):
-            for b in _mask_bits(mm):
-                by_message.setdefault(b, []).append((k, i))
+    for k, pair in enumerate(functions):
+        for j in pair:
+            nodes = np.flatnonzero(lacks[:, j]).tolist()
+            by_message.setdefault(j, []).extend((k, i) for i in nodes)
     adj = [
-        {i for i, mm in enumerate(row) if mm == 0} for row in remaining
+        {i for i, count in enumerate(row) if count == 0} for row in remaining
     ]
     match_fn: dict[int, int] = {}
     match_node: dict[int, int] = {}
     _augment_all(K, adj, {}, match_fn, match_node)
-    x_mask = 0
+    broadcast: set[int] = set()
     while len(match_fn) < K:
         unmatched = [k for k in range(K) if k not in match_fn]
-        pool = sorted(
-            {j for k in unmatched for j in instance.workload.functions[k]}
-            - set(_mask_bits(x_mask))
-        )
+        pool = sorted({j for k in unmatched for j in functions[k]} - broadcast)
         best_gain, best_j = -1, None
         for j in pool:
-            bit = 1 << j
+            # j is not broadcast yet, so every pair listed under it still
+            # lacks j; the ones lacking nothing else gain an edge.
             extra: dict[int, set[int]] = {}
             for k, i in by_message.get(j, ()):
-                if remaining[k][i] == bit:
+                if remaining[k][i] == 1:
                     extra.setdefault(k, set()).add(i)
             if not extra:
                 gain = 0
@@ -196,14 +204,13 @@ def greedy_raw_broadcasts(instance: Instance) -> UncodedPlan:
                 gain = _augment_all(K, adj, extra, dict(match_fn), dict(match_node))
             if gain > best_gain:
                 best_gain, best_j = gain, j
-        bit = 1 << best_j
-        x_mask |= bit
+        broadcast.add(best_j)
         for k, i in by_message.get(best_j, ()):
-            remaining[k][i] &= ~bit
+            remaining[k][i] -= 1
             if remaining[k][i] == 0:
                 adj[k].add(i)
         _augment_all(K, adj, {}, match_fn, match_node)
-    return _plan(instance, x_mask, match_fn)
+    return _plan(instance, tuple(sorted(broadcast)), match_fn)
 
 
 def min_intermediate_broadcasts(instance: Instance) -> IntermediatePlan:
@@ -215,14 +222,9 @@ def min_intermediate_broadcasts(instance: Instance) -> IntermediatePlan:
     assigned node.
     """
     _check_solvable(instance)
-    K, n = instance.k, instance.n
-    if K == 0:
+    if instance.k == 0:
         return IntermediatePlan(assignment=Assignment(pairs=()), cost_per_function=(), total=0)
-    side = instance.placement.side_info
-    cost = np.zeros((K, n), dtype=np.int64)
-    for k, pair in enumerate(instance.workload.functions):
-        for i in range(n):
-            cost[k, i] = sum(1 for j in pair if j not in side[i])
+    cost = _missing_counts(instance)
     rows, cols = linear_sum_assignment(cost)
     pairs = tuple(sorted((int(k), int(i)) for k, i in zip(rows, cols)))
     per_function = tuple(int(cost[k, i]) for k, i in pairs)

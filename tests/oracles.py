@@ -39,6 +39,12 @@ def covered_nodes(instance, extra=frozenset()):
     return out
 
 
+def missing_messages(instance):
+    """Sorted workload messages outside the union of all side-info sets."""
+    held = frozenset().union(*instance.placement.side_info)
+    return tuple(sorted(instance.workload.used_messages() - held))
+
+
 def brute_min_raw_broadcasts(instance, max_size: int = 4):
     """Smallest broadcast set enabling a full matching, or None.
 

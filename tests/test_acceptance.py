@@ -278,11 +278,10 @@ def test_c10_determinism(tmp_path, capsys):
         "sweep", "--m", "12", "--n", "8", "--K", "3", "--d", "2",
         "--p-values", "0.3,0.7", "--trials", "50", "--seed", "5",
     ]
-    csvs = [tmp_path / f"s{i}.csv" for i in range(3)]
-    assert cli.main(sweep + ["--threads", "1", "--out", str(csvs[0])]) == 0
-    assert cli.main(sweep + ["--threads", "1", "--out", str(csvs[1])]) == 0
-    assert cli.main(sweep + ["--threads", "4", "--out", str(csvs[2])]) == 0
-    assert csvs[0].read_bytes() == csvs[1].read_bytes() == csvs[2].read_bytes()
+    csvs = [tmp_path / f"s{i}.csv" for i in range(2)]
+    for csv_path in csvs:
+        assert cli.main(sweep + ["--out", str(csv_path)]) == 0
+    assert csvs[0].read_bytes() == csvs[1].read_bytes()
 
     demos = []
     for _ in range(2):

@@ -142,17 +142,16 @@ def test_solve_parse_error_exit_code(tmp_path, capsys):
     assert code == cli.EXIT_PARSE
 
 
-def test_sweep_csv_deterministic_and_thread_invariant(tmp_path, capsys):
+def test_sweep_csv_deterministic(tmp_path, capsys):
     args = [
         "sweep", "--m", "10", "--n", "8", "--K", "3", "--d", "2",
         "--p-values", "0.2,0.6", "--trials", "40", "--seed", "3",
     ]
-    a, b, c = (tmp_path / name for name in ("a.csv", "b.csv", "c.csv"))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert cli.main(args + ["--out", str(a)]) == cli.EXIT_OK
     assert cli.main(args + ["--out", str(b)]) == cli.EXIT_OK
-    assert cli.main(args + ["--threads", "4", "--out", str(c)]) == cli.EXIT_OK
     capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+    assert a.read_bytes() == b.read_bytes()
     header = a.read_text().splitlines()[0]
     assert header.startswith("schema,")
 

@@ -57,7 +57,7 @@ def test_extract_double_missing_gives_two_receivers():
     from flexshuffle.instance import FunctionSet, Placement
 
     inst = Instance(
-        placement=Placement(m=4, n=2, side_info=(frozenset({0, 1}), frozenset({2, 3}))),
+        placement=Placement.from_sets(m=4, n=2, side_info=(frozenset({0, 1}), frozenset({2, 3}))),
         workload=FunctionSet(functions=((0, 1),), d=1),
     )
     ic = extract_instance(inst, Assignment(pairs=((0, 1),)))

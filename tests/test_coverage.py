@@ -1,5 +1,7 @@
 import pytest
-from oracles import brute_max_matching
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import brute_max_matching, covered_nodes
 
 from flexshuffle.coverage import (
     Assignment,
@@ -17,6 +19,7 @@ from flexshuffle.instance import (
     demo_instance,
     generate_functions,
     generate_placement,
+    random_instance,
 )
 
 
@@ -43,11 +46,28 @@ def test_p1_graph_complete():
 
 def test_single_edge_graph():
     inst = Instance(
-        placement=Placement(m=2, n=2, side_info=(frozenset(), frozenset({0, 1}))),
+        placement=Placement.from_sets(m=2, n=2, side_info=(frozenset(), frozenset({0, 1}))),
         workload=FunctionSet(functions=((0, 1),), d=1),
     )
     graph = build_coverage_graph(inst)
     assert graph.adjacency == ((1,),)
+
+
+@st.composite
+def small_instances(draw):
+    m = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 10))
+    d = draw(st.integers(1, 3))
+    K = draw(st.integers(0, min(d * m // 2, m * (m - 1) // 2, 8)))
+    p = draw(st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return random_instance(m, n, K, d, p, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_instances())
+def test_dense_graph_matches_set_oracle(inst):
+    assert list(build_coverage_graph(inst).adjacency) == covered_nodes(inst)
 
 
 def test_demo_matching():
@@ -96,7 +116,7 @@ def test_uncovered_count_p1():
 def test_uncovered_count_single_isolated_function():
     # function (0,1) sits together nowhere; the other two are covered
     inst = Instance(
-        placement=Placement(
+        placement=Placement.from_sets(
             m=6,
             n=3,
             side_info=(frozenset({0, 2, 3}), frozenset({1, 4, 5}), frozenset({2, 3})),
@@ -126,7 +146,7 @@ def test_node_permutation_invariance():
         base = uncovered_count(inst)
         perm = list(range(inst.n))[::-1]
         permuted = Instance(
-            placement=Placement(
+            placement=Placement.from_sets(
                 m=inst.m,
                 n=inst.n,
                 side_info=tuple(inst.placement.side_info[i] for i in perm),
@@ -148,7 +168,7 @@ def test_one_lipschitz_in_nodes():
                 s for i, s in enumerate(inst.placement.side_info) if i != drop
             )
             smaller = Instance(
-                placement=Placement(m=inst.m, n=inst.n - 1, side_info=side),
+                placement=Placement.from_sets(m=inst.m, n=inst.n - 1, side_info=side),
                 workload=inst.workload,
             )
             delta = uncovered_count(smaller) - base
@@ -156,7 +176,7 @@ def test_one_lipschitz_in_nodes():
         # adding a node lowers the count by at most one
         new_node = frozenset(j for j in range(inst.m) if rng.random() < 0.5)
         bigger = Instance(
-            placement=Placement(
+            placement=Placement.from_sets(
                 m=inst.m, n=inst.n + 1, side_info=inst.placement.side_info + (new_node,)
             ),
             workload=inst.workload,
@@ -175,7 +195,7 @@ def test_adding_side_info_is_monotone():
                 side = list(inst.placement.side_info)
                 side[i] = side[i] | {j}
                 bigger = Instance(
-                    placement=Placement(m=inst.m, n=inst.n, side_info=tuple(side)),
+                    placement=Placement.from_sets(m=inst.m, n=inst.n, side_info=tuple(side)),
                     workload=inst.workload,
                 )
                 assert uncovered_count(bigger) <= base

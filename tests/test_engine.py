@@ -89,7 +89,7 @@ def test_map_phase_empty_side_info():
     from flexshuffle.instance import FunctionSet, Placement
 
     inst = Instance(
-        placement=Placement(m=2, n=2, side_info=(frozenset(), frozenset({0, 1}))),
+        placement=Placement.from_sets(m=2, n=2, side_info=(frozenset(), frozenset({0, 1}))),
         workload=FunctionSet(functions=((0, 1),), d=1),
     )
     payloads = {

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -146,13 +147,46 @@ def test_function_set_rejects_duplicates():
 
 def test_placement_rejects_out_of_range():
     with pytest.raises(InvariantViolation):
-        Placement(m=3, n=1, side_info=(frozenset({3}),))
+        Placement.from_sets(m=3, n=1, side_info=(frozenset({3}),))
+
+
+def test_placement_rejects_wrong_length():
+    with pytest.raises(InvariantViolation) as err:
+        Placement.from_sets(m=3, n=2, side_info=(frozenset(),))
+    assert err.value.invariant == "side-info-length"
+
+
+def test_from_sets_equals_generated():
+    gen = generate_placement(15, 9, 0.4, seed=8)
+    built = Placement.from_sets(15, 9, gen.side_info, p=0.4, seed=gen.seed)
+    assert built == gen
+    assert hash(built) == hash(gen)
+    assert np.array_equal(built.cells, gen.cells)
+    assert Placement.from_sets(15, 9, gen.side_info) != gen  # metadata differs
+
+
+def test_side_info_derived_from_cells():
+    pl = generate_placement(20, 7, 0.3, seed=4)
+    assert pl.side_info == tuple(
+        frozenset(j for j in range(20) if pl.cells[i, j]) for i in range(7)
+    )
+    assert pl.holders(3) == tuple(i for i in range(7) if pl.cells[i, 3])
+
+
+def test_cells_read_only():
+    pl = generate_placement(6, 4, 0.5, seed=1)
+    with pytest.raises(ValueError):
+        pl.cells[0, 0] = not pl.cells[0, 0]
+    source = np.zeros((2, 3), dtype=bool)
+    pl = Placement(m=3, n=2, cells=source)
+    source[0, 0] = True  # the placement keeps its own copy
+    assert not pl.cells.any()
 
 
 def test_instance_rejects_workload_out_of_range():
     with pytest.raises(InvariantViolation):
         Instance(
-            placement=Placement(m=3, n=1, side_info=(frozenset(),)),
+            placement=Placement.from_sets(m=3, n=1, side_info=(frozenset(),)),
             workload=FunctionSet(functions=((0, 5),), d=1),
         )
 
@@ -210,3 +244,32 @@ def test_load_rejects_wrong_counts():
     text = instance_to_text(demo_instance()).replace("node 0 2 3\n", "")
     with pytest.raises(ParseError):
         instance_from_text(text)
+
+
+def _demo_text_with(old: str, new: str) -> str:
+    text = instance_to_text(demo_instance())
+    assert old in text
+    return text.replace(old, new)
+
+
+def test_load_rejects_repeated_header_field():
+    text = _demo_text_with("n 4\n", "n 4\nm 7\n")
+    with pytest.raises(ParseError) as err:
+        instance_from_text(text)
+    assert err.value.line == 4
+    assert "repeated" in str(err.value)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1.5", "-0.1"])
+def test_load_rejects_p_outside_unit_interval(value):
+    text = _demo_text_with("d 2\n", f"d 2\np {value}\n")
+    with pytest.raises(ParseError) as err:
+        instance_from_text(text)
+    assert err.value.line == 6
+
+
+def test_load_rejects_repeated_node_index():
+    text = _demo_text_with("node 1 3 5\n", "node 1 3 3 5\n")
+    with pytest.raises(ParseError) as err:
+        instance_from_text(text)
+    assert err.value.line == 7

@@ -1,5 +1,8 @@
+import oracles
 import pytest
+from hypothesis import given, settings
 from oracles import brute_min_intermediate, brute_min_raw_broadcasts
+from test_coverage import small_instances
 
 from flexshuffle.coverage import uncovered_count
 from flexshuffle.errors import BudgetExceeded, Infeasible, Outage
@@ -33,9 +36,15 @@ def solvable(inst):
 def outage_instance():
     # message 1 is used by the function but nobody holds it
     return Instance(
-        placement=Placement(m=3, n=2, side_info=(frozenset({0}), frozenset({0, 2}))),
+        placement=Placement.from_sets(m=3, n=2, side_info=(frozenset({0}), frozenset({0, 2}))),
         workload=FunctionSet(functions=((0, 1),), d=1),
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_instances())
+def test_missing_messages_matches_set_union(inst):
+    assert missing_messages(inst) == oracles.missing_messages(inst)
 
 
 def test_demo_exact_is_two():
@@ -74,7 +83,7 @@ def test_exact_budget_exceeded():
 
 def test_exact_infeasible_when_more_functions_than_nodes():
     inst = Instance(
-        placement=Placement(m=6, n=2, side_info=(frozenset(range(6)),) * 2),
+        placement=Placement.from_sets(m=6, n=2, side_info=(frozenset(range(6)),) * 2),
         workload=FunctionSet(functions=((0, 1), (2, 3), (4, 5)), d=1),
     )
     with pytest.raises(Infeasible):
@@ -175,7 +184,7 @@ def test_intermediate_zero_at_p1():
 
 def test_intermediate_infeasible_when_k_exceeds_n():
     inst = Instance(
-        placement=Placement(m=6, n=2, side_info=(frozenset(range(6)),) * 2),
+        placement=Placement.from_sets(m=6, n=2, side_info=(frozenset(range(6)),) * 2),
         workload=FunctionSet(functions=((0, 1), (2, 3), (4, 5)), d=1),
     )
     with pytest.raises(Infeasible):
@@ -231,7 +240,7 @@ def test_adding_side_info_never_hurts():
                 side = list(inst.placement.side_info)
                 side[i] = side[i] | {j}
                 bigger = Instance(
-                    placement=Placement(m=inst.m, n=inst.n, side_info=tuple(side)),
+                    placement=Placement.from_sets(m=inst.m, n=inst.n, side_info=tuple(side)),
                     workload=inst.workload,
                 )
                 assert min_raw_broadcasts(bigger, budget=8).size <= raw
