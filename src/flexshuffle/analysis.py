@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .coverage import build_coverage_graph, hopcroft_karp
+from .coverage import uncovered_count
 from .instance import Instance, derive_seeds, generate_placement, random_instance
 from .shuffle import greedy_raw_broadcasts, missing_messages
 
@@ -173,16 +173,11 @@ def expected_fixed_uncoded(K: int, p: float) -> FixedUncodedExpectation:
 # Monte Carlo estimators
 
 
-def _uncovered(instance: Instance) -> int:
-    graph = build_coverage_graph(instance)
-    return instance.k - len(hopcroft_karp(graph.adjacency, graph.n_nodes))
-
-
 def mc_no_shuffle(m, n, K, d, p, trials, seed) -> ProportionEstimate:
     """Fraction of random instances where a flexible assignment covers every
     function with zero communication."""
     covered = sum(
-        _uncovered(random_instance(m, n, K, d, p, seed, t)) == 0 for t in range(trials)
+        uncovered_count(random_instance(m, n, K, d, p, seed, t)) == 0 for t in range(trials)
     )
     return _proportion(covered, trials)
 
@@ -205,7 +200,7 @@ def mc_uncovered(
     standard error.
     """
     ys = np.asarray(
-        [_uncovered(random_instance(m, n, K, d, p, seed, t)) for t in range(trials)],
+        [uncovered_count(random_instance(m, n, K, d, p, seed, t)) for t in range(trials)],
         dtype=np.int64,
     )
     counts = np.bincount(ys, minlength=K + 1)
@@ -353,7 +348,7 @@ def _sweep_point(
     def trial(t):
         inst = random_instance(m, n, K, d, p, point_seed, t)
         outage = bool(missing_messages(inst))
-        y = _uncovered(inst)
+        y = uncovered_count(inst)
         if outage:
             greedy = None
         elif y == 0:

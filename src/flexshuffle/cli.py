@@ -164,16 +164,15 @@ def cmd_solve(args) -> int:
     }
     try:
         plan = shuffle.min_raw_broadcasts(instance, budget=args.budget)
-        report["raw_broadcasts"] = plan.size
-        report["raw_broadcast_messages"] = list(plan.broadcast_messages)
-        report["raw_solver"] = "exact"
+        solver = "exact"
     except BudgetExceeded:
         if args.no_greedy_fallback:
             raise
         plan = shuffle.greedy_raw_broadcasts(instance)
-        report["raw_broadcasts"] = plan.size
-        report["raw_broadcast_messages"] = list(plan.broadcast_messages)
-        report["raw_solver"] = "greedy"
+        solver = "greedy"
+    report["raw_broadcasts"] = plan.size
+    report["raw_broadcast_messages"] = list(plan.broadcast_messages)
+    report["raw_solver"] = solver
     inter = shuffle.min_intermediate_broadcasts(instance)
     report["intermediate_broadcasts"] = inter.total
     if not args.skip_coded:

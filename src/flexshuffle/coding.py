@@ -160,20 +160,8 @@ def _completion_rows(fm: FittingMatrix, completion: int) -> tuple[int, ...]:
 
 
 def gf2_rank(rows, n_cols: int) -> int:
-    """Rank of integer-bitmask rows via Gaussian elimination over GF(2)."""
-    work = list(rows)
-    rank = 0
-    for c in range(n_cols):
-        bit = 1 << c
-        pivot = next((r for r in range(rank, len(work)) if work[r] & bit), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for r in range(len(work)):
-            if r != rank and work[r] & bit:
-                work[r] ^= work[rank]
-        rank += 1
-    return rank
+    """Rank over GF(2) of integer-bitmask rows (bits below ``n_cols``)."""
+    return len(gf2_row_basis(rows, n_cols))
 
 
 def gf2_row_basis(rows, n_cols: int) -> list[int]:
@@ -279,9 +267,10 @@ def _supportable_span(rows, n_cols: int, supp: np.ndarray) -> list[int] | None:
     picked: list[int] = []
     acc: list[int] = []
     for v in usable:
-        if gf2_rank(acc + [v], n_cols) > len(acc):
+        grown = gf2_row_basis(acc + [v], n_cols)
+        if len(grown) > len(acc):
             picked.append(v)
-            acc = gf2_row_basis(acc + [v], n_cols)
+            acc = grown
             if len(picked) == rank:
                 return picked
     return None

@@ -89,48 +89,40 @@ def build_coverage_graph(instance: Instance) -> CoverageGraph:
     return CoverageGraph(k_functions=K, n_nodes=instance.n, adjacency=adjacency)
 
 
-def hopcroft_karp(
-    adjacency,
-    n_nodes: int,
-    initial: dict[int, int] | None = None,
-) -> dict[int, int]:
-    """Maximum-cardinality matching, returned as {function: node}.
+def augment(adjacency, match_fn: list[int], match_node: list[int]) -> int:
+    """Grow a matching to maximum cardinality in place (Hopcroft-Karp).
 
-    Adjacency lists must be sorted ascending; augmentation scans them in
-    order, so ties always break toward the lowest node index and the result
-    is deterministic.  ``initial`` seeds the matching with known-valid edges
-    (used by the shuffle solvers to re-augment after adding broadcasts).
+    ``match_fn[k]`` is function k's node and ``match_node[i]`` node i's
+    function, -1 when unmatched; the caller owns both lists and any valid
+    matching may be in them.  Returns how many functions were newly matched;
+    a matched function never becomes unmatched.  Adjacency lists must be
+    sorted ascending; they are scanned in order, so ties always break toward
+    the lowest node index and the result is deterministic.
     """
     K = len(adjacency)
-    match_fn = [_INF] * K
-    match_node = [_INF] * n_nodes
-    if initial:
-        for k, i in initial.items():
-            match_fn[k] = i
-            match_node[i] = k
+    gained = 0
+    # A free function without edges can never be matched, so it is neither
+    # a BFS root nor a DFS start.
+    roots = [k for k, i in enumerate(match_fn) if i == _INF and adjacency[k]]
     # Cheap greedy pass; Hopcroft-Karp phases then only clean up.
-    for k in range(K):
-        if match_fn[k] != _INF:
-            continue
+    for k in roots:
         for i in adjacency[k]:
             if match_node[i] == _INF:
                 match_fn[k] = i
                 match_node[i] = k
+                gained += 1
                 break
-
-    dist = [0] * K
-
-    def bfs() -> bool:
-        q = deque()
-        for k in range(K):
-            if match_fn[k] == _INF:
-                dist[k] = 0
-                q.append(k)
-            else:
-                dist[k] = _INF
+    roots = [k for k in roots if match_fn[k] == _INF]
+    while roots:
+        # BFS: layer the graph from the free functions; ``found`` is the
+        # length of the shortest augmenting path.
+        dist = [_INF] * K
+        for k in roots:
+            dist[k] = 0
+        queue = deque(roots)
         found = _INF
-        while q:
-            k = q.popleft()
+        while queue:
+            k = queue.popleft()
             if found != _INF and dist[k] >= found:
                 continue
             for i in adjacency[k]:
@@ -140,23 +132,62 @@ def hopcroft_karp(
                         found = dist[k] + 1
                 elif dist[nxt] == _INF:
                     dist[nxt] = dist[k] + 1
-                    q.append(nxt)
-        return found != _INF
+                    queue.append(nxt)
+        if found == _INF:
+            break
+        # DFS along the layers with an explicit stack: path[-1] is the
+        # function being extended and pos[-1] its next adjacency slot.
+        for root in roots:
+            path, pos = [root], [0]
+            while path:
+                k = path[-1]
+                nbrs = adjacency[k]
+                p = pos[-1]
+                while p < len(nbrs):
+                    nxt = match_node[nbrs[p]]
+                    if nxt == _INF or dist[nxt] == dist[k] + 1:
+                        break
+                    p += 1
+                pos[-1] = p
+                if p == len(nbrs):
+                    # Dead end: no shortest augmenting path runs through k.
+                    dist[k] = _INF
+                    path.pop()
+                    pos.pop()
+                    if pos:
+                        pos[-1] += 1
+                elif nxt == _INF:
+                    # Free node reached: flip every edge along the path.
+                    for f, slot in zip(path, pos):
+                        i = adjacency[f][slot]
+                        match_fn[f] = i
+                        match_node[i] = f
+                    gained += 1
+                    break
+                else:
+                    path.append(nxt)
+                    pos.append(0)
+        roots = [k for k in roots if match_fn[k] == _INF]
+    return gained
 
-    def dfs(k: int) -> bool:
-        for i in adjacency[k]:
-            nxt = match_node[i]
-            if nxt == _INF or (dist[nxt] == dist[k] + 1 and dfs(nxt)):
-                match_fn[k] = i
-                match_node[i] = k
-                return True
-        dist[k] = _INF
-        return False
 
-    while bfs():
-        for k in range(K):
-            if match_fn[k] == _INF:
-                dfs(k)
+def hopcroft_karp(
+    adjacency,
+    n_nodes: int,
+    initial: dict[int, int] | None = None,
+) -> dict[int, int]:
+    """Maximum-cardinality matching, returned as {function: node}.
+
+    Adjacency lists must be sorted ascending (see ``augment``).  ``initial``
+    seeds the matching with known-valid edges; every function it matches
+    stays matched, though possibly to another node.
+    """
+    match_fn = [_INF] * len(adjacency)
+    match_node = [_INF] * n_nodes
+    for k, i in (initial or {}).items():
+        match_fn[k] = i
+        match_node[i] = k
+    augment(adjacency, match_fn, match_node)
     return {k: i for k, i in enumerate(match_fn) if i != _INF}
 
 
@@ -177,4 +208,5 @@ def max_matching(graph: CoverageGraph) -> MatchingResult:
 
 def uncovered_count(instance: Instance) -> int:
     """Minimum number of functions left uncovered by any flexible assignment."""
-    return max_matching(build_coverage_graph(instance)).uncovered
+    graph = build_coverage_graph(instance)
+    return instance.k - len(hopcroft_karp(graph.adjacency, graph.n_nodes))

@@ -10,12 +10,13 @@ to a min-cost assignment.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .coverage import Assignment, hopcroft_karp
+from .coverage import Assignment, augment, build_coverage_graph
 from .errors import BudgetExceeded, Infeasible, InvariantViolation, Outage
 from .instance import Instance
 
@@ -52,18 +53,6 @@ def missing_messages(instance: Instance) -> tuple[int, ...]:
     return tuple(j for j in sorted(instance.workload.used_messages()) if not held[j])
 
 
-def _missing_masks(instance: Instance) -> list[list[int]]:
-    """missing[k][i]: bitmask of function k's inputs that node i lacks."""
-    side_masks = [
-        sum(1 << j for j in s) for s in instance.placement.side_info
-    ]
-    out = []
-    for j1, j2 in instance.workload.functions:
-        pair_mask = (1 << j1) | (1 << j2)
-        out.append([pair_mask & ~sm for sm in side_masks])
-    return out
-
-
 def _missing_counts(instance: Instance) -> np.ndarray:
     """counts[k, i]: how many of function k's inputs node i lacks (0-2)."""
     lacks = ~instance.placement.cells
@@ -71,23 +60,44 @@ def _missing_counts(instance: Instance) -> np.ndarray:
     return (lacks[:, j1].astype(np.int64) + lacks[:, j2]).T
 
 
-def _augmented_adjacency(missing: list[list[int]], x_mask: int) -> list[tuple[int, ...]]:
-    inv = ~x_mask
-    return [
-        tuple(i for i, mm in enumerate(row) if mm & inv == 0)
-        for row in missing
-    ]
+def _lack_tables(instance: Instance):
+    """The tables both raw solvers search.
+
+    ``remaining[k][i]`` is how many inputs of function k node i lacks, and
+    ``by_message[j]`` lists the (function, node) pairs whose node lacks
+    input j.  Only messages that some node lacks are keys.
+    """
+    remaining = _missing_counts(instance).tolist()
+    lacks = ~instance.placement.cells
+    by_message: dict[int, list[tuple[int, int]]] = {}
+    for k, pair in enumerate(instance.workload.functions):
+        for j in pair:
+            nodes = np.flatnonzero(lacks[:, j]).tolist()
+            if nodes:
+                by_message.setdefault(j, []).extend((k, i) for i in nodes)
+    return remaining, by_message
 
 
-def _mask_bits(mask: int) -> list[int]:
-    bits = []
-    j = 0
-    while mask:
-        if mask & 1:
-            bits.append(j)
-        mask >>= 1
-        j += 1
-    return bits
+def _with_edges(adjacency: list, edges) -> list:
+    """A copy of ``adjacency`` with (function, node) ``edges`` added, sorted."""
+    extra: dict[int, list[int]] = {}
+    for k, i in edges:
+        extra.setdefault(k, []).append(i)
+    trial = list(adjacency)
+    for k, nodes in extra.items():
+        trial[k] = sorted([*adjacency[k], *nodes])
+    return trial
+
+
+def _base_matching(instance: Instance):
+    """The coverage adjacency as a list, a maximum matching on it as
+    ``match_fn``/``match_node`` lists, and the matching's size."""
+    graph = build_coverage_graph(instance)
+    adjacency = list(graph.adjacency)
+    match_fn = [-1] * instance.k
+    match_node = [-1] * instance.n
+    matched = augment(adjacency, match_fn, match_node)
+    return adjacency, match_fn, match_node, matched
 
 
 def _check_solvable(instance: Instance) -> None:
@@ -98,12 +108,12 @@ def _check_solvable(instance: Instance) -> None:
         raise Infeasible(f"K={instance.k} functions but only n={instance.n} nodes")
 
 
-def _plan(instance: Instance, messages: tuple[int, ...], matching: dict[int, int]) -> UncodedPlan:
+def _plan(instance: Instance, messages: tuple[int, ...], match_fn: list[int]) -> UncodedPlan:
     senders = tuple((j, instance.placement.holders(j)[0]) for j in messages)
     return UncodedPlan(
         broadcast_messages=messages,
         senders=senders,
-        assignment=Assignment(pairs=tuple(sorted(matching.items()))),
+        assignment=Assignment(pairs=tuple((k, i) for k, i in enumerate(match_fn) if i != -1)),
     )
 
 
@@ -113,49 +123,33 @@ def min_raw_broadcasts(instance: Instance, budget: int = 8) -> UncodedPlan:
     Iterative deepening over the broadcast-set size with lexicographic subset
     enumeration, so the returned optimum is deterministic.  Only messages
     that are missing from some (function, node) pair can change the graph,
-    which keeps the candidate pool small.
+    which keeps the candidate pool small.  Each candidate set re-augments a
+    copy of the zero-broadcast maximum matching.
 
     Raises Outage when a needed message is held by nobody, Infeasible when
     K > n, and BudgetExceeded when no feasible set of size <= budget exists.
     """
     _check_solvable(instance)
-    K, n = instance.k, instance.n
-    missing = _missing_masks(instance)
-    base = hopcroft_karp(_augmented_adjacency(missing, 0), n)
-    if len(base) == K:
-        return _plan(instance, (), base)
-    candidates = sorted(set(b for row in missing for mm in row for b in _mask_bits(mm)))
+    K = instance.k
+    adjacency, match_fn, match_node, matched = _base_matching(instance)
+    if matched == K:
+        return _plan(instance, (), match_fn)
+    remaining, by_message = _lack_tables(instance)
+    candidates = sorted(by_message)
     for size in range(1, min(budget, len(candidates)) + 1):
         for combo in itertools.combinations(candidates, size):
-            x_mask = sum(1 << j for j in combo)
-            adjacency = _augmented_adjacency(missing, x_mask)
-            matching = hopcroft_karp(adjacency, n, initial=base)
-            if len(matching) == K:
-                return _plan(instance, combo, matching)
+            # A pair gains an edge when the combo holds every input it lacks.
+            hits = Counter(pair for j in combo for pair in by_message[j])
+            edges = [(k, i) for (k, i), c in hits.items() if c == remaining[k][i]]
+            # Each missing function needs its own augmenting path, and each
+            # path a new edge at a function of its own (see greedy).
+            if len({k for k, _ in edges}) < K - matched:
+                continue
+            trial_fn = match_fn.copy()
+            gained = augment(_with_edges(adjacency, edges), trial_fn, match_node.copy())
+            if matched + gained == K:
+                return _plan(instance, combo, trial_fn)
     raise BudgetExceeded(budget)
-
-
-def _augment(k: int, adj, extra, match_fn, match_node, visited) -> bool:
-    """Kuhn augmentation from function k; lowest node index wins ties."""
-    for i in sorted(adj[k] | extra.get(k, frozenset())):
-        if i in visited:
-            continue
-        visited.add(i)
-        owner = match_node.get(i)
-        if owner is None or _augment(owner, adj, extra, match_fn, match_node, visited):
-            match_fn[k] = i
-            match_node[i] = k
-            return True
-    return False
-
-
-def _augment_all(K, adj, extra, match_fn, match_node) -> int:
-    gained = 0
-    for k in range(K):
-        if k not in match_fn and (adj[k] or extra.get(k)):
-            if _augment(k, adj, extra, match_fn, match_node, set()):
-                gained += 1
-    return gained
 
 
 def greedy_raw_broadcasts(instance: Instance) -> UncodedPlan:
@@ -166,50 +160,42 @@ def greedy_raw_broadcasts(instance: Instance) -> UncodedPlan:
     Candidates are restricted to inputs of currently unmatched functions, so
     the plan never exceeds the number of distinct messages those functions
     demand.  Edges and the matching are maintained incrementally: adding a
-    broadcast only ever completes edges whose last missing message it is.
+    broadcast only ever completes edges whose last missing message it is,
+    and the maximum matching is re-augmented in place.
     """
     _check_solvable(instance)
     K = instance.k
+    adjacency, match_fn, match_node, matched = _base_matching(instance)
+    if matched == K:
+        return _plan(instance, (), match_fn)
     functions = instance.workload.functions
-    # remaining[k][i]: how many inputs of function k node i still lacks.
-    remaining = _missing_counts(instance).tolist()
-    # by_message[j]: the (function, node) pairs whose node lacks input j.
-    lacks = ~instance.placement.cells
-    by_message: dict[int, list[tuple[int, int]]] = {}
-    for k, pair in enumerate(functions):
-        for j in pair:
-            nodes = np.flatnonzero(lacks[:, j]).tolist()
-            by_message.setdefault(j, []).extend((k, i) for i in nodes)
-    adj = [
-        {i for i, count in enumerate(row) if count == 0} for row in remaining
-    ]
-    match_fn: dict[int, int] = {}
-    match_node: dict[int, int] = {}
-    _augment_all(K, adj, {}, match_fn, match_node)
+    remaining, by_message = _lack_tables(instance)
     broadcast: set[int] = set()
-    while len(match_fn) < K:
-        unmatched = [k for k in range(K) if k not in match_fn]
+    while matched < K:
+        unmatched = [k for k in range(K) if match_fn[k] == -1]
         pool = sorted({j for k in unmatched for j in functions[k]} - broadcast)
         best_gain, best_j = -1, None
         for j in pool:
             # j is not broadcast yet, so every pair listed under it still
             # lacks j; the ones lacking nothing else gain an edge.
-            extra: dict[int, set[int]] = {}
-            for k, i in by_message.get(j, ()):
-                if remaining[k][i] == 1:
-                    extra.setdefault(k, set()).add(i)
-            if not extra:
-                gain = 0
-            else:
-                gain = _augment_all(K, adj, extra, dict(match_fn), dict(match_node))
+            edges = [(k, i) for k, i in by_message.get(j, ()) if remaining[k][i] == 1]
+            # The new augmenting paths are vertex-disjoint and each uses a
+            # new edge, so the gain is at most the number of functions
+            # with one; a candidate that cannot beat the best is not scored.
+            bound = len({k for k, _ in edges})
+            if bound <= best_gain:
+                continue
+            gain = augment(_with_edges(adjacency, edges), match_fn.copy(), match_node.copy())
             if gain > best_gain:
                 best_gain, best_j = gain, j
         broadcast.add(best_j)
+        edges = []
         for k, i in by_message.get(best_j, ()):
             remaining[k][i] -= 1
             if remaining[k][i] == 0:
-                adj[k].add(i)
-        _augment_all(K, adj, {}, match_fn, match_node)
+                edges.append((k, i))
+        adjacency = _with_edges(adjacency, edges)
+        matched += augment(adjacency, match_fn, match_node)
     return _plan(instance, tuple(sorted(broadcast)), match_fn)
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -207,6 +209,47 @@ def test_hopcroft_karp_initial_matching_preserved():
     seeded = hopcroft_karp(adjacency, 3, initial={0: 0})
     assert len(full) == len(seeded) == 3
     assert seeded[0] == 0
+
+
+@st.composite
+def graphs_with_seed_matching(draw):
+    """A small bipartite graph plus a sub-matching of a maximum matching."""
+    K = draw(st.integers(0, 6))
+    n = draw(st.integers(1, 6))
+    adjacency = tuple(
+        tuple(sorted(draw(st.frozensets(st.integers(0, n - 1), max_size=n))))
+        for _ in range(K)
+    )
+    matchings = [
+        dict((k, i) for k, i in enumerate(choice) if i is not None)
+        for choice in itertools.product(*[(None, *nbrs) for nbrs in adjacency])
+        if len([i for i in choice if i is not None]) == len({i for i in choice if i is not None})
+    ]
+    best = max(map(len, matchings))
+    maximum = draw(st.sampled_from([mm for mm in matchings if len(mm) == best]))
+    kept = draw(st.frozensets(st.sampled_from(sorted(maximum)))) if maximum else frozenset()
+    return adjacency, n, {k: maximum[k] for k in kept}
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_seed_matching())
+def test_hopcroft_karp_seeded_is_maximum_and_keeps_seed(case):
+    adjacency, n, initial = case
+    matching = hopcroft_karp(adjacency, n, initial=dict(initial))
+    assert len(matching) == brute_max_matching(adjacency, n)
+    assert all(i in adjacency[k] for k, i in matching.items())
+    assert len(set(matching.values())) == len(matching)
+    assert set(initial) <= set(matching)
+
+
+def test_hopcroft_karp_long_augmenting_path():
+    # Greedy takes node k for function k, so the last function's only
+    # augmenting path runs through every function: no recursion may follow it.
+    K = 10_000
+    adjacency = tuple((k, k + 1) for k in range(K - 1)) + ((0,),)
+    matching = hopcroft_karp(adjacency, K)
+    assert len(matching) == K
+    assert matching[K - 1] == 0
 
 
 def test_assignment_rejects_non_injective():

@@ -105,12 +105,12 @@ def test_assignment_valid_under_augmented_side_info():
         inst = tiny_instance(seed)
         if not solvable(inst):
             continue
-        plan = min_raw_broadcasts(inst)
-        extra = set(plan.broadcast_messages)
-        assert len(plan.assignment) == inst.k
-        for k, i in plan.assignment.pairs:
-            for j in inst.workload.functions[k]:
-                assert j in inst.placement.side_info[i] or j in extra
+        for plan in (min_raw_broadcasts(inst), greedy_raw_broadcasts(inst)):
+            extra = set(plan.broadcast_messages)
+            assert len(plan.assignment) == inst.k
+            for k, i in plan.assignment.pairs:
+                for j in inst.workload.functions[k]:
+                    assert j in inst.placement.side_info[i] or j in extra
 
 
 def test_greedy_demo():
@@ -245,3 +245,48 @@ def test_adding_side_info_never_hurts():
                 )
                 assert min_raw_broadcasts(bigger, budget=8).size <= raw
                 assert min_intermediate_broadcasts(bigger).total <= inter
+
+
+RING_K = 1200
+
+
+def ring_instance(broken: bool) -> Instance:
+    """K functions (2k, 2k+1) on K nodes; node i holds the inputs of
+    functions i-1 (mod K) and i, so each function has two covering nodes.
+
+    Broken: node K-1 holds only function K-2, node 0 keeps message 2K-2
+    and node 1 gains 2K-1, so function K-1 has no covering node and the
+    one augmenting path after a broadcast runs through every function.
+    """
+    K = RING_K
+
+    def pair(k):
+        return {2 * (k % K), 2 * (k % K) + 1}
+
+    side = [pair(i - 1) | pair(i) for i in range(K)]
+    if broken:
+        side[0] = pair(0) | {2 * K - 2}
+        side[1] = side[1] | {2 * K - 1}
+        side[K - 1] = pair(K - 2)
+    return Instance(
+        placement=Placement.from_sets(m=2 * K, n=K, side_info=tuple(map(frozenset, side))),
+        workload=FunctionSet(functions=tuple((2 * k, 2 * k + 1) for k in range(K)), d=1),
+    )
+
+
+def test_ring_needs_no_broadcast():
+    inst = ring_instance(broken=False)
+    for plan in (greedy_raw_broadcasts(inst), min_raw_broadcasts(inst)):
+        assert plan.size == 0
+        assert len(plan.assignment) == RING_K
+
+
+def test_broken_ring_one_broadcast_through_every_function():
+    inst = ring_instance(broken=True)
+    assert uncovered_count(inst) == 1
+    K = RING_K
+    for plan in (greedy_raw_broadcasts(inst), min_raw_broadcasts(inst)):
+        assert plan.broadcast_messages == (2 * K - 2,)
+        assert plan.senders == ((2 * K - 2, 0),)
+        assert len(plan.assignment) == K
+        assert plan.assignment.node_of(K - 1) == 1
