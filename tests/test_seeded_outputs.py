@@ -1,8 +1,9 @@
 """Golden file pinning seeded library and CLI outputs bit for bit.
 
 The rendering below covers random instance files, the Monte Carlo
-estimators, greedy raw-broadcast plans and a ``sweep --compare-fixed``
-CSV.  Any change of internal representation must leave it
+estimators, greedy raw-broadcast plans, a ``sweep --compare-fixed`` CSV,
+and best coded plans with the executed transcripts of the raw,
+intermediate and coded plans of small instances.  Any change of internal representation must leave it
 byte-identical.  To inspect the rendering:
 
     PYTHONPATH=src python tests/test_seeded_outputs.py
@@ -22,8 +23,21 @@ from flexshuffle.analysis import (
     mc_outage,
     mc_uncovered,
 )
+from flexshuffle.coding import best_coded_plan
+from flexshuffle.engine import (
+    demo_payloads,
+    run_plan,
+    transmissions_from_coded_plan,
+    transmissions_from_intermediate_plan,
+    transmissions_from_uncoded_plan,
+)
 from flexshuffle.instance import instance_to_text, random_instance
-from flexshuffle.shuffle import greedy_raw_broadcasts, missing_messages
+from flexshuffle.shuffle import (
+    greedy_raw_broadcasts,
+    min_intermediate_broadcasts,
+    min_raw_broadcasts,
+    missing_messages,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "seeded_outputs.golden"
 
@@ -33,6 +47,12 @@ D = 2
 P_VALUES = (0.01, 0.03, 0.15, 0.5)
 SEEDS = range(5)
 TRIALS = 20
+
+# Coded instances: random_instance(6, 5, K, 2, p, seed); demo_payloads()
+# covers messages 0..5.
+CODED_K = (3, 4)
+CODED_P = (0.35, 0.5)
+CODED_SEEDS = range(6)
 
 
 def _proportion(est) -> str:
@@ -66,6 +86,7 @@ def render() -> str:
             f"greedy_raw_broadcasts p=0.15 seed={seed}: {plan.broadcast_messages} "
             f"{plan.senders} {plan.assignment.pairs}"
         )
+    out.extend(_coded_lines())
     argv = [
         "sweep", "--m", str(M), "--n", str(N), "--K", str(K), "--d", str(D),
         "--p-values", ",".join(map(repr, P_VALUES)), "--trials", str(TRIALS),
@@ -77,6 +98,36 @@ def render() -> str:
     out.append("## flexshuffle " + " ".join(argv))
     out.append(buf.getvalue().rstrip("\n"))
     return "\n".join(out) + "\n"
+
+
+def _coded_lines() -> list[str]:
+    out = []
+    payloads = demo_payloads()
+    for K in CODED_K:
+        for p in CODED_P:
+            for seed in CODED_SEEDS:
+                inst = random_instance(6, 5, K, 2, p, seed)
+                if missing_messages(inst):
+                    continue
+                tag = f"K={K} p={p!r} seed={seed}"
+                coded = best_coded_plan(inst)
+                broadcasts = tuple(tuple(sorted(b)) for b in coded.broadcasts)
+                out.append(
+                    f"best_coded_plan {tag}: {coded.count} {coded.assignment.pairs} "
+                    f"{broadcasts} {coded.senders}"
+                )
+                plans = (
+                    ("raw", transmissions_from_uncoded_plan, min_raw_broadcasts(inst, budget=8)),
+                    ("intermediate", transmissions_from_intermediate_plan,
+                     min_intermediate_broadcasts(inst)),
+                    ("coded", transmissions_from_coded_plan, coded),
+                )
+                for kind, transmissions, plan in plans:
+                    txs = transmissions(inst, payloads, plan)
+                    transcript = run_plan(inst, payloads, txs, plan.assignment)
+                    out.append(f"## run_plan {kind} {tag}")
+                    out.append(transcript.render().rstrip("\n"))
+    return out
 
 
 def test_seeded_outputs_match_golden():
