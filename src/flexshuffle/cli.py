@@ -149,7 +149,7 @@ def cmd_gen(args) -> int:
             if getattr(args, field) is None:
                 print(f"gen: --{field} is required without --demo", file=sys.stderr)
                 return EXIT_USAGE
-        if not 0.0 <= args.p <= 1.0 or args.m < 1 or args.n < 1 or args.K < 0:
+        if not 0.0 <= args.p <= 1.0 or args.m < 1 or args.n < 1 or args.K < 0 or args.d < 1:
             print("gen: parameters out of range", file=sys.stderr)
             return EXIT_USAGE
         instance = random_instance(args.m, args.n, args.K, args.d, args.p, args.seed)

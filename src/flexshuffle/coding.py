@@ -15,16 +15,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
+from . import gf2
 from .coverage import Assignment, build_coverage_graph, max_matching
 from .errors import CapExceeded, Infeasible, InvariantViolation, Outage
+from .gf2 import gf2_rank  # noqa: F401  re-exported as flexshuffle.gf2_rank
 from .instance import Instance
 from .shuffle import missing_messages
-
-_CHUNK = 1 << 14
 
 
 class Receiver(NamedTuple):
@@ -36,7 +37,6 @@ class Receiver(NamedTuple):
 @dataclass(frozen=True)
 class IndexCodingInstance:
     receivers: tuple[Receiver, ...]
-    universe: frozenset[int]
 
     def __post_init__(self):
         for r in self.receivers:
@@ -77,7 +77,7 @@ class FittingMatrix:
     def n_cols(self) -> int:
         return len(self.columns)
 
-    @property
+    @cached_property
     def free_cells(self) -> tuple[tuple[int, int], ...]:
         """(row, column) positions of free cells, row-major."""
         return tuple(
@@ -110,6 +110,18 @@ class CodedPlan:
     senders: tuple[int, ...]
 
 
+def _receivers(instance: Instance, pairs) -> list[Receiver]:
+    """One receiver per (assigned node, input message the node lacks), in
+    the order of ``pairs``, then slot order."""
+    side = instance.placement.side_info
+    return [
+        Receiver(node=i, demand=j, side_info=side[i])
+        for k, i in pairs
+        for j in instance.workload.functions[k]
+        if j not in side[i]
+    ]
+
+
 def extract_instance(instance: Instance, assignment: Assignment) -> IndexCodingInstance:
     """One receiver per (assigned node, input message the node lacks).
 
@@ -118,17 +130,7 @@ def extract_instance(instance: Instance, assignment: Assignment) -> IndexCodingI
     """
     if sorted(k for k, _ in assignment.pairs) != list(range(instance.k)):
         raise InvariantViolation("assignment-total", "every function needs a node")
-    side = instance.placement.side_info
-    receivers = []
-    universe: set[int] = set()
-    for k, i in assignment.pairs:
-        s = side[i]
-        for j in instance.workload.functions[k]:
-            if j not in s:
-                receivers.append(Receiver(node=i, demand=j, side_info=s))
-                universe.add(j)
-                universe.update(s)
-    return IndexCodingInstance(receivers=tuple(receivers), universe=frozenset(universe))
+    return IndexCodingInstance(receivers=tuple(_receivers(instance, assignment.pairs)))
 
 
 def build_fitting_matrix(ic: IndexCodingInstance) -> FittingMatrix:
@@ -159,64 +161,23 @@ def _completion_rows(fm: FittingMatrix, completion: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def gf2_rank(rows, n_cols: int) -> int:
-    """Rank over GF(2) of integer-bitmask rows (bits below ``n_cols``)."""
-    return len(gf2_row_basis(rows, n_cols))
+def _completions_by_rank(fm: FittingMatrix, free_cap: int):
+    """(rank, rows) of every completion, lowest rank first.
 
-
-def gf2_row_basis(rows, n_cols: int) -> list[int]:
-    """An RREF basis of the row space."""
-    basis: list[int] = []
-    for row in rows:
-        cur = row
-        for b in basis:
-            low = b & -b
-            if cur & low:
-                cur ^= b
-        if cur:
-            for idx, b in enumerate(basis):
-                if b & (cur & -cur):
-                    basis[idx] ^= cur
-            basis.append(cur)
-    return sorted(basis)
-
-
-def _batched_ranks(fm: FittingMatrix, completions: np.ndarray) -> np.ndarray:
-    """GF(2) rank of every listed completion, vectorized across completions."""
-    cells = fm.free_cells
-    R, C = fm.n_rows, fm.n_cols
-    if C > 32:
-        raise CapExceeded("fitting-matrix columns", C, 32)
-    base = np.array([1 << dc for dc in fm.demand_col], dtype=np.uint32)
-    ranks = np.empty(len(completions), dtype=np.int16)
-    row_idx = np.arange(R)
-    for lo in range(0, len(completions), _CHUNK):
-        idx = completions[lo : lo + _CHUNK]
-        S = len(idx)
-        work = np.tile(base, (S, 1))
-        for f, (r, c) in enumerate(cells):
-            work[:, r] |= ((idx >> f) & 1).astype(np.uint32) << np.uint32(c)
-        rank = np.zeros(S, dtype=np.int16)
-        for c in range(C):
-            bit = np.uint32(1 << c)
-            avail = ((work & bit) != 0) & (row_idx[None, :] >= rank[:, None])
-            s_idx = np.flatnonzero(avail.any(axis=1))
-            if s_idx.size == 0:
-                continue
-            k = np.arange(s_idx.size)
-            pivot = np.argmax(avail[s_idx], axis=1)
-            sub = work[s_idx]
-            r_to = rank[s_idx].astype(np.intp)
-            piv_rows = sub[k, pivot].copy()
-            sub[k, pivot] = sub[k, r_to]
-            sub[k, r_to] = piv_rows
-            elim = (sub & bit) != 0
-            elim[k, r_to] = False
-            sub ^= elim.astype(np.uint32) * piv_rows[:, None]
-            work[s_idx] = sub
-            rank[s_idx] += 1
-        ranks[lo : lo + S] = rank
-    return ranks
+    Raises CapExceeded before any work when the matrix has more than
+    ``free_cap`` free cells.  Equal ranks keep completion order.
+    """
+    n_free = len(fm.free_cells)
+    if n_free > free_cap:
+        raise CapExceeded("free cells", n_free, free_cap)
+    if fm.n_rows == 0:
+        return iter([(0, ())])
+    base = [1 << dc for dc in fm.demand_col]
+    ranks = gf2.completion_ranks(base, fm.free_cells, fm.n_cols)
+    return (
+        (int(ranks[pos]), _completion_rows(fm, int(pos)))
+        for pos in np.argsort(ranks, kind="stable")
+    )
 
 
 def minrank_gf2(fm: FittingMatrix, free_cap: int = 20) -> MinrankResult:
@@ -224,19 +185,8 @@ def minrank_gf2(fm: FittingMatrix, free_cap: int = 20) -> MinrankResult:
 
     Raises CapExceeded when the matrix has more than ``free_cap`` free cells.
     """
-    n_free = len(fm.free_cells)
-    if n_free > free_cap:
-        raise CapExceeded("free cells", n_free, free_cap)
-    if fm.n_rows == 0:
-        return MinrankResult(rank=0, witness=(), n_cols=fm.n_cols)
-    completions = np.arange(1 << n_free, dtype=np.uint64)
-    ranks = _batched_ranks(fm, completions)
-    best = int(np.argmin(ranks))
-    return MinrankResult(
-        rank=int(ranks[best]),
-        witness=_completion_rows(fm, best),
-        n_cols=fm.n_cols,
-    )
+    rank, witness = next(_completions_by_rank(fm, free_cap))
+    return MinrankResult(rank=rank, witness=witness, n_cols=fm.n_cols)
 
 
 def _supportable_masks(columns, side_info_sets) -> np.ndarray:
@@ -257,60 +207,39 @@ def _supportable_masks(columns, side_info_sets) -> np.ndarray:
 
 
 def _supportable_span(rows, n_cols: int, supp: np.ndarray) -> list[int] | None:
-    """A sender-supportable basis of span(rows), or None if none exists."""
-    basis = gf2_row_basis(rows, n_cols)
-    rank = len(basis)
+    """A sender-supportable basis of span(rows), or None if none exists.
+
+    Supportable span vectors are tried in increasing order and kept when
+    independent of those already kept.
+    """
+    basis = gf2.gf2_row_basis(rows, n_cols)
     span = [0]
     for b in basis:
         span += [v ^ b for v in span]
-    usable = sorted(v for v in span if v and supp[v])
     picked: list[int] = []
-    acc: list[int] = []
-    for v in usable:
-        grown = gf2_row_basis(acc + [v], n_cols)
-        if len(grown) > len(acc):
+    reduced: dict[int, int] = {}
+    for v in sorted(v for v in span if v and supp[v]):
+        if len(picked) == len(basis):
+            break
+        if gf2.insert(reduced, v, n_cols):
             picked.append(v)
-            acc = grown
-            if len(picked) == rank:
-                return picked
-    return None
+    return picked if len(picked) == len(basis) else None
 
 
-def _supported_minrank(fm: FittingMatrix, supp: np.ndarray, free_cap: int):
+def _supported_minrank(fm: FittingMatrix, side_info_sets, free_cap: int):
     """Minimum completion rank whose row space has a supportable basis.
 
     Returns (rank, transmit basis) or (None, None) when no completion
     qualifies.  Completions are scanned in rank order so equal-rank
     witnesses are tried before the rank is allowed to grow.
     """
-    n_free = len(fm.free_cells)
-    if n_free > free_cap:
-        raise CapExceeded("free cells", n_free, free_cap)
-    if fm.n_rows == 0:
-        return 0, []
-    completions = np.arange(1 << n_free, dtype=np.uint64)
-    ranks = _batched_ranks(fm, completions)
-    order = np.argsort(ranks, kind="stable")
-    for pos in order:
-        rows = _completion_rows(fm, int(pos))
+    completions = _completions_by_rank(fm, free_cap)
+    supp = _supportable_masks(fm.columns, side_info_sets)
+    for rank, rows in completions:
         basis = _supportable_span(rows, fm.n_cols, supp)
         if basis is not None:
-            return int(ranks[pos]), basis
+            return rank, basis
     return None, None
-
-
-def _assignment_patterns(instance: Instance, nodes: tuple[int, ...]):
-    """Deduplicated (demand, free-message-set) pattern for one assignment."""
-    side = instance.placement.side_info
-    pattern = set()
-    receivers = []
-    for k, i in enumerate(nodes):
-        s = side[i]
-        for j in instance.workload.functions[k]:
-            if j not in s:
-                receivers.append((i, j))
-                pattern.add((j, frozenset(s)))
-    return frozenset(pattern), receivers
 
 
 def best_coded_plan(
@@ -348,27 +277,21 @@ def best_coded_plan(
             # Some function is uncovered under every assignment, so one
             # transmission is already optimal.
             break
-        key, receiver_list = _assignment_patterns(instance, nodes)
+        # Receivers with the same (demand, side info) add the same row, so
+        # assignments with the same set of them share one search.
+        unique: dict[tuple, Receiver] = {}
+        for r in _receivers(instance, enumerate(nodes)):
+            unique.setdefault((r.demand, r.side_info), r)
+        key = frozenset(unique)
         if key in memo:
             hit = memo[key]
             if hit is None or (best is not None and hit[0] >= best.count):
                 continue
-            rank, basis, fm = hit[0], hit[1], hit[2]
+            rank, basis, fm = hit
         else:
-            dedup: list[Receiver] = []
-            seen = set()
-            for i, j in receiver_list:
-                sig = (j, side[i])
-                if sig not in seen:
-                    seen.add(sig)
-                    dedup.append(Receiver(node=i, demand=j, side_info=side[i]))
-            ic = IndexCodingInstance(
-                receivers=tuple(dedup),
-                universe=frozenset(j for _, j in receiver_list).union(*[side[i] for i, _ in receiver_list]),
-            )
+            ic = IndexCodingInstance(receivers=tuple(unique.values()))
             fm = build_fitting_matrix(ic)
-            supp = _supportable_masks(fm.columns, side)
-            rank, basis = _supported_minrank(fm, supp, free_cap)
+            rank, basis = _supported_minrank(fm, side, free_cap)
             memo[key] = None if rank is None else (rank, basis, fm)
             if rank is None:
                 continue

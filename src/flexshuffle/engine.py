@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import gf2
 from .coverage import Assignment
 from .errors import DecodeFailure, InvariantViolation
 from .instance import Instance, demo_instance
@@ -58,10 +59,6 @@ def decode_payload(data: bytes) -> MessagePayload:
     return MessagePayload(
         owner=owner, friends=tuple(friends.split(PAYLOAD_SEPARATOR)) if friends else ()
     )
-
-
-def xor_bytes(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b, strict=True))
 
 
 @dataclass(frozen=True)
@@ -149,10 +146,12 @@ def coded_transmission(
         raise InvariantViolation(
             "sender-holds-support", f"node {sender} lacks {set(support) - side}"
         )
-    data = bytes(width)
+    data = 0
     for j in support:
-        data = xor_bytes(data, encode_payload(payloads[j], width))
-    return Transmission(sender=sender, kind="coded", support=support, data=data)
+        data ^= int.from_bytes(encode_payload(payloads[j], width), "big")
+    return Transmission(
+        sender=sender, kind="coded", support=support, data=data.to_bytes(width, "big")
+    )
 
 
 def intermediate_transmission(
@@ -205,59 +204,36 @@ def transmissions_from_coded_plan(
     return out
 
 
-def _decode_node(side, local_encodings, transmissions):
+def _decode_node(side, encoded, transmissions, n_msgs: int, width: int):
     """Messages a node can recover by GF(2) elimination over what it heard.
 
-    Returns {message: (payload, provenance string)}.
+    Each raw or coded transmission becomes one augmented row: the mask of
+    its messages the node lacks (bits below ``n_msgs``), then provenance
+    bits for the transmission and for each local message XORed out of it,
+    then the payload.  ``encoded`` maps each held message to its encoding as
+    an int.  Returns {message: (payload, provenance string)}.
     """
-    equations = []
+    local_at = n_msgs + len(transmissions)
+    payload_at = local_at + n_msgs
+    basis: dict[int, int] = {}
     for t, tx in enumerate(transmissions):
         if tx.kind == "intermediate":
             continue
-        mask = 0
-        data = tx.data
-        used_local = []
+        row = int.from_bytes(tx.data, "big") << payload_at | 1 << (n_msgs + t)
         for j in tx.support:
             if j in side:
-                data = xor_bytes(data, local_encodings[j])
-                used_local.append(j)
+                row ^= encoded[j] << payload_at | 1 << (local_at + j)
             else:
-                mask |= 1 << j
-        if mask:
-            prov = {f"tx{t}"} | {f"local{j}" for j in used_local}
-            equations.append((mask, data, prov))
-    # online Gaussian elimination; each stored row's pivot is its lowest set bit
-    pivots: dict[int, tuple[int, bytes, set]] = {}
-    for mask, data, prov in equations:
-        while mask:
-            low = mask & -mask
-            if low not in pivots:
-                break
-            pmask, pdata, pprov = pivots[low]
-            mask ^= pmask
-            data = xor_bytes(data, pdata)
-            prov = prov ^ pprov
-        if mask:
-            pivots[mask & -mask] = (mask, data, prov)
-    # back substitution, highest pivot first, leaves each row with a single
-    # pivot bit; a row is decodable when no non-pivot bits remain either
-    for low in sorted(pivots, reverse=True):
-        mask, data, prov = pivots[low]
-        rest = mask ^ low
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            if bit in pivots and bit != low:
-                pmask, pdata, pprov = pivots[bit]
-                mask ^= pmask
-                data = xor_bytes(data, pdata)
-                prov = prov ^ pprov
-        pivots[low] = (mask, data, prov)
+                row |= 1 << j
+        gf2.insert(basis, row, n_msgs)
+    names = [f"tx{t}" for t in range(len(transmissions))] + [f"local{j}" for j in range(n_msgs)]
     decoded = {}
-    for mask, data, prov in pivots.values():
-        if mask and mask & (mask - 1) == 0:
-            j = mask.bit_length() - 1
-            decoded[j] = (decode_payload(data), "+".join(sorted(prov)))
+    for pivot, row in basis.items():
+        if row & ((1 << n_msgs) - 1) == pivot:
+            prov = row >> n_msgs
+            via = sorted(name for b, name in enumerate(names) if prov >> b & 1)
+            data = (row >> payload_at).to_bytes(width, "big")
+            decoded[pivot.bit_length() - 1] = (decode_payload(data), "+".join(via))
     return decoded
 
 
@@ -277,19 +253,21 @@ def run_plan(
     if sorted(k for k, _ in assignment.pairs) != list(range(instance.k)):
         raise InvariantViolation("assignment-total", "every function needs a node")
     width = payload_width(payloads)
+    if any(len(tx.data) != width for tx in transmissions if tx.kind != "intermediate"):
+        raise InvariantViolation("transmission-width", f"raw and coded data must be {width} bytes")
+    encoded = {j: int.from_bytes(encode_payload(p, width), "big") for j, p in payloads.items()}
     transcript = Transcript(transmissions=list(transmissions))
     values = map_phase(instance, payloads)
     failures = []
     results: dict[int, tuple[str, ...]] = {}
+    received = {
+        tx.support: tx
+        for tx in transcript.transmissions
+        if tx.kind == "intermediate"
+    }
     for k, i in assignment.pairs:
         side = instance.placement.side_info[i]
-        local_encodings = {j: encode_payload(payloads[j], width) for j in side}
-        decoded = _decode_node(side, local_encodings, transcript.transmissions)
-        received = {
-            tx.support: tx
-            for tx in transcript.transmissions
-            if tx.kind == "intermediate"
-        }
+        decoded = _decode_node(side, encoded, transcript.transmissions, instance.m, width)
         inputs = []
         for slot, j in enumerate(instance.workload.functions[k]):
             if (k, slot) in values[i]:

@@ -318,7 +318,7 @@ def instance_from_text(text: str) -> Instance:
         tokens = line.split()
         key = tokens[0]
         if not saw_format:
-            if key != FORMAT_NAME:
+            if key != FORMAT_NAME or len(tokens) > 2:
                 raise ParseError(f"expected '{FORMAT_NAME} <version>' header", lineno)
             version = _parse_int(tokens[1], "version", lineno) if len(tokens) > 1 else 0
             if version != FORMAT_VERSION:
@@ -327,14 +327,14 @@ def instance_from_text(text: str) -> Instance:
             continue
         if key in header:
             raise ParseError(f"field {key}: repeated header field", lineno)
+        if key in ("m", "n", "K", "d", "seed", "p") and len(tokens) != 2:
+            raise ParseError(f"field {key}: expected one value", lineno)
         if key in ("m", "n", "K", "d", "seed"):
-            if len(tokens) != 2:
-                raise ParseError(f"field {key}: expected one value", lineno)
             header[key] = _parse_int(tokens[1], key, lineno)
         elif key == "p":
             try:
                 header["p"] = float(tokens[1])
-            except (IndexError, ValueError):
+            except ValueError:
                 raise ParseError("field p: expected a float", lineno)
             if not 0.0 <= header["p"] <= 1.0:  # also rejects nan
                 raise ParseError(f"field p: {tokens[1]} is not in [0, 1]", lineno)

@@ -238,7 +238,6 @@ def test_c09_minrank_fixtures():
             receivers=tuple(
                 Receiver(node=i, demand=i, side_info=frozenset()) for i in range(r)
             ),
-            universe=frozenset(range(r)),
         )
         assert minrank_gf2(build_fitting_matrix(ic)).rank == r
     cycle = IndexCodingInstance(
@@ -246,7 +245,6 @@ def test_c09_minrank_fixtures():
             Receiver(node=i, demand=i, side_info=frozenset({(i + 1) % 3}))
             for i in range(3)
         ),
-        universe=frozenset(range(3)),
     )
     assert minrank_gf2(build_fitting_matrix(cycle)).rank == 2
     walkthrough = IndexCodingInstance(
@@ -255,7 +253,6 @@ def test_c09_minrank_fixtures():
             Receiver(node=1, demand=2, side_info=frozenset({1, 3, 5})),
             Receiver(node=2, demand=0, side_info=frozenset({1, 4, 5})),
         ),
-        universe=frozenset(range(6)),
     )
     assert minrank_gf2(build_fitting_matrix(walkthrough)).rank == 2
     report(9, "minrank fixtures")

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from flexshuffle import cli
 from flexshuffle.instance import demo_instance, instance_to_text, load_instance
 
@@ -40,6 +42,13 @@ def test_gen_requires_parameters(capsys):
     code, _, err = run(capsys, "gen", "--m", "6")
     assert code == cli.EXIT_USAGE
     assert "required" in err
+
+
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_gen_rejects_d_below_one(capsys, d):
+    code, _, err = run(capsys, "gen", "--m", "5", "--n", "5", "--K", "2", "--p", "0.5", "--d", d)
+    assert code == cli.EXIT_USAGE
+    assert "out of range" in err
 
 
 def demo_file(tmp_path):

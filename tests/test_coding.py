@@ -70,7 +70,6 @@ def test_receiver_cannot_demand_held_message():
     with pytest.raises(InvariantViolation):
         IndexCodingInstance(
             receivers=(Receiver(node=0, demand=1, side_info=frozenset({1})),),
-            universe=frozenset({1}),
         )
 
 
@@ -82,7 +81,6 @@ def walkthrough_fitting_matrix():
             Receiver(node=1, demand=2, side_info=frozenset({1, 3, 5})),
             Receiver(node=2, demand=0, side_info=frozenset({1, 4, 5})),
         ),
-        universe=frozenset(range(6)),
     )
     return build_fitting_matrix(ic)
 
@@ -103,7 +101,6 @@ def test_fitting_matrix_no_side_info_is_identity_pattern():
         receivers=tuple(
             Receiver(node=i, demand=i, side_info=frozenset()) for i in range(3)
         ),
-        universe=frozenset(range(3)),
     )
     fm = build_fitting_matrix(ic)
     assert all(fm.free[r] == 0 for r in range(3))
@@ -116,7 +113,6 @@ def test_fitting_matrix_repeated_demand_shares_column():
             Receiver(node=0, demand=7, side_info=frozenset()),
             Receiver(node=1, demand=7, side_info=frozenset()),
         ),
-        universe=frozenset({7}),
     )
     fm = build_fitting_matrix(ic)
     assert fm.n_cols == 1
@@ -130,7 +126,6 @@ def test_minrank_identity_pattern(r):
         receivers=tuple(
             Receiver(node=i, demand=i, side_info=frozenset()) for i in range(r)
         ),
-        universe=frozenset(range(r)),
     )
     result = minrank_gf2(build_fitting_matrix(ic))
     assert result.rank == r
@@ -142,7 +137,6 @@ def test_minrank_three_cycle():
             Receiver(node=i, demand=i, side_info=frozenset({(i + 1) % 3}))
             for i in range(3)
         ),
-        universe=frozenset(range(3)),
     )
     fm = build_fitting_matrix(ic)
     result = minrank_gf2(fm)

@@ -23,7 +23,6 @@ from flexshuffle.engine import (
     transmissions_from_coded_plan,
     transmissions_from_intermediate_plan,
     transmissions_from_uncoded_plan,
-    xor_bytes,
 )
 from flexshuffle.errors import DecodeFailure, InvariantViolation
 from flexshuffle.instance import (
@@ -55,18 +54,6 @@ def test_payload_codec_round_trip(owner, friends):
 def test_codec_empty_friend_set():
     payload = MessagePayload(owner="Z", friends=())
     assert decode_payload(encode_payload(payload, 16)) == payload
-
-
-def test_xor_self_is_zero():
-    payload = MessagePayload(owner="A", friends=("B", "C"))
-    enc = encode_payload(payload, 12)
-    assert xor_bytes(enc, enc) == bytes(12)
-
-
-def test_xor_pair_recovers():
-    a = encode_payload(MessagePayload(owner="A", friends=("B",)), 10)
-    b = encode_payload(MessagePayload(owner="C", friends=("D", "E")), 10)
-    assert xor_bytes(xor_bytes(a, b), b) == a
 
 
 def test_oracle_values():

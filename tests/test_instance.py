@@ -273,3 +273,18 @@ def test_load_rejects_repeated_node_index():
     with pytest.raises(ParseError) as err:
         instance_from_text(text)
     assert err.value.line == 7
+
+
+def test_load_rejects_trailing_header_token():
+    text = _demo_text_with("flexshuffle-instance 1\n", "flexshuffle-instance 1 junk\n")
+    with pytest.raises(ParseError) as err:
+        instance_from_text(text)
+    assert err.value.line == 1
+
+
+def test_load_rejects_second_p_value():
+    text = _demo_text_with("d 2\n", "d 2\np 0.5 0.9\n")
+    with pytest.raises(ParseError) as err:
+        instance_from_text(text)
+    assert err.value.line == 6
+    assert "one value" in str(err.value)
