@@ -161,15 +161,23 @@ def _completion_rows(fm: FittingMatrix, completion: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _completions_by_rank(fm: FittingMatrix, free_cap: int):
-    """(rank, rows) of every completion, lowest rank first.
-
-    Raises CapExceeded before any work when the matrix has more than
-    ``free_cap`` free cells.  Equal ranks keep completion order.
-    """
+def _check_caps(fm: FittingMatrix, free_cap: int) -> None:
+    """Raise CapExceeded when the matrix has more than ``free_cap`` free
+    cells or more columns than ``gf2.completion_ranks`` takes."""
     n_free = len(fm.free_cells)
     if n_free > free_cap:
         raise CapExceeded("free cells", n_free, free_cap)
+    if fm.n_rows and fm.n_cols > gf2.MAX_COLS:
+        raise CapExceeded("fitting-matrix columns", fm.n_cols, gf2.MAX_COLS)
+
+
+def _completions_by_rank(fm: FittingMatrix, free_cap: int):
+    """(rank, rows) of every completion, lowest rank first.
+
+    Raises CapExceeded (see ``_check_caps``) before any work.  Equal ranks
+    keep completion order.
+    """
+    _check_caps(fm, free_cap)
     if fm.n_rows == 0:
         return iter([(0, ())])
     base = [1 << dc for dc in fm.demand_col]
@@ -226,16 +234,38 @@ def _supportable_span(rows, n_cols: int, supp: np.ndarray) -> list[int] | None:
     return picked if len(picked) == len(basis) else None
 
 
-def _supported_minrank(fm: FittingMatrix, side_info_sets, free_cap: int):
+def _supported_minrank(fm: FittingMatrix, side_info_sets, free_cap: int, below=None):
     """Minimum completion rank whose row space has a supportable basis.
 
-    Returns (rank, transmit basis) or (None, None) when no completion
-    qualifies.  Completions are scanned in rank order so equal-rank
-    witnesses are tried before the rank is allowed to grow.
+    Returns (rank, transmit basis) or (None, None) when no completion of
+    rank below ``below`` (any rank when it is None) qualifies.  Completions
+    are scanned in rank order so equal-rank witnesses are tried before the
+    rank is allowed to grow.  The caps are checked first in every case.
+
+    ``below == 2`` asks only for rank 1, which has a closed form: the rows
+    of a rank-1 completion are nonzero, hence all equal, and each holds its
+    demand bit, so every row contains ``demanded``, the union of the demand
+    bits (every column, for matrices from ``build_fitting_matrix``).  Such
+    a completion exists when each row has the other demanded cells free.
+    A supportable one exists when some node holds every demanded message,
+    and then the one with rows equal to ``demanded`` comes first in
+    completion order.
     """
+    if below == 2 and fm.n_rows:
+        _check_caps(fm, free_cap)
+        demanded = 0
+        for dc in fm.demand_col:
+            demanded |= 1 << dc
+        if all(demanded & ~f == 1 << dc for dc, f in zip(fm.demand_col, fm.free)):
+            needed = {fm.columns[c] for c in range(fm.n_cols) if demanded >> c & 1}
+            if any(needed <= s for s in side_info_sets):
+                return 1, [demanded]
+        return None, None
     completions = _completions_by_rank(fm, free_cap)
     supp = _supportable_masks(fm.columns, side_info_sets)
     for rank, rows in completions:
+        if below is not None and rank >= below:
+            break
         basis = _supportable_span(rows, fm.n_cols, supp)
         if basis is not None:
             return rank, basis
@@ -252,7 +282,12 @@ def best_coded_plan(
     Enumerates every injective assignment of the K functions to nodes, takes
     the fitting-matrix minrank of each induced index-coding instance
     (restricted to witnesses whose row space a set of single-node
-    transmissions can span), and returns the best plan found.
+    transmissions can span), and returns the first plan, in permutation
+    order, that reaches the least count.  Once a plan is known, each later
+    pattern is searched only for completions of rank below its count, so a
+    pattern that cannot improve on it stops at the first completion that
+    reaches it; with two transmissions known, the search for one is a
+    closed-form test instead of a completion enumeration.
     """
     K, n = instance.k, instance.n
     if K > n:
@@ -291,7 +326,11 @@ def best_coded_plan(
         else:
             ic = IndexCodingInstance(receivers=tuple(unique.values()))
             fm = build_fitting_matrix(ic)
-            rank, basis = _supported_minrank(fm, side, free_cap)
+            below = None if best is None else best.count
+            rank, basis = _supported_minrank(fm, side, free_cap, below)
+            # None means no supportable completion below the count known
+            # when the pattern was searched; the count never rises, so the
+            # pattern stays useless for the rest of the search.
             memo[key] = None if rank is None else (rank, basis, fm)
             if rank is None:
                 continue

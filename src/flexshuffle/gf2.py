@@ -14,6 +14,7 @@ import numpy as np
 from .errors import CapExceeded
 
 _CHUNK = 1 << 14
+MAX_COLS = 32  # completion_ranks packs each row into a uint32
 
 
 def insert(basis: dict[int, int], row: int, n_cols: int) -> bool:
@@ -58,8 +59,8 @@ def completion_ranks(base, cells, n_cols: int) -> np.ndarray:
     of ``x`` is set.  Entry ``x`` of the result is the rank of completion
     ``x``, for all ``2 ** len(cells)`` of them.
     """
-    if n_cols > 32:
-        raise CapExceeded("fitting-matrix columns", n_cols, 32)
+    if n_cols > MAX_COLS:
+        raise CapExceeded("fitting-matrix columns", n_cols, MAX_COLS)
     R = len(base)
     base = np.array(base, dtype=np.uint32)
     completions = np.arange(1 << len(cells), dtype=np.uint64)

@@ -20,6 +20,9 @@ from .errors import Infeasible, InvariantViolation, ParseError
 
 FORMAT_NAME = "flexshuffle-instance"
 FORMAT_VERSION = 1
+# A file may ask for at most this many placement cells (n * m), so a huge
+# m is refused before the dense placement array is allocated.
+MAX_FILE_CELLS = 1 << 28
 
 # Fixed 6-message / 4-node walkthrough instance used throughout the docs
 # and tests; messages 0..5 are the friend lists of users A..F.
@@ -361,6 +364,8 @@ def instance_from_text(text: str) -> Instance:
         raise ParseError(f"expected {n} node lines, found {len(node_lines)}")
     if len(func_lines) != k:
         raise ParseError(f"expected {k} func lines, found {len(func_lines)}")
+    if n * m > MAX_FILE_CELLS:
+        raise ParseError(f"n*m = {n * m} placement cells, more than {MAX_FILE_CELLS}")
     placement = Placement.from_sets(
         m,
         n,

@@ -95,15 +95,14 @@ def rank_gf2(rows, n_cols: int) -> int:
     return rank
 
 
-def brute_minrank(demand_col, free_masks, n_cols: int) -> int:
-    """Exhaustive minimum rank over all completions of the cell pattern."""
+def completions(demand_col, free_masks, n_cols: int):
+    """Every completion of the cell pattern, as lists of 0/1 rows."""
     cells = [
         (r, c)
         for r, fm in enumerate(free_masks)
         for c in range(n_cols)
         if fm & (1 << c)
     ]
-    best = None
     for completion in range(1 << len(cells)):
         rows = []
         for r, dc in enumerate(demand_col):
@@ -113,7 +112,37 @@ def brute_minrank(demand_col, free_masks, n_cols: int) -> int:
         for f, (r, c) in enumerate(cells):
             if (completion >> f) & 1:
                 rows[r][c] = 1
+        yield rows
+
+
+def brute_minrank(demand_col, free_masks, n_cols: int) -> int:
+    """Exhaustive minimum rank over all completions of the cell pattern."""
+    best = None
+    for rows in completions(demand_col, free_masks, n_cols):
         rank = rank_gf2(rows, n_cols)
         if best is None or rank < best:
             best = rank
     return 0 if best is None else best
+
+
+def brute_supported_minrank(demand_col, free_masks, n_cols: int, node_masks):
+    """Least rank over completions whose row space is spanned by the
+    supportable vectors in it, or None when no completion qualifies.
+
+    A vector is supportable when it is nonzero and lies inside one node's
+    column mask, so one node can send it.
+    """
+    supportable = [
+        [(v >> c) & 1 for c in range(n_cols)]
+        for v in range(1, 1 << n_cols)
+        if any(v & ~nm == 0 for nm in node_masks)
+    ]
+    best = None
+    for rows in completions(demand_col, free_masks, n_cols):
+        rank = rank_gf2(rows, n_cols)
+        if best is not None and rank >= best:
+            continue
+        inside = [v for v in supportable if rank_gf2(rows + [v], n_cols) == rank]
+        if rank_gf2(inside, n_cols) == rank:
+            best = rank
+    return best

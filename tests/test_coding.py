@@ -1,9 +1,13 @@
 import pytest
-from oracles import brute_minrank
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import brute_minrank, brute_supported_minrank, completions, rank_gf2
 
 from flexshuffle.coding import (
+    FittingMatrix,
     IndexCodingInstance,
     Receiver,
+    _supported_minrank,
     best_coded_plan,
     build_fitting_matrix,
     extract_instance,
@@ -261,3 +265,63 @@ def test_minrank_bounded_by_receivers_and_demands():
             rank = minrank_gf2(fm).rank
             assert rank <= len(ic.receivers)
             assert rank <= fm.n_cols
+
+
+@st.composite
+def supported_patterns(draw):
+    """A fitting matrix up to 4x4 and up to three nodes' column masks."""
+    n_cols = draw(st.integers(1, 4))
+    demand_col = draw(st.lists(st.integers(0, n_cols - 1), min_size=1, max_size=4))
+    free = [draw(st.integers(0, (1 << n_cols) - 1)) & ~(1 << dc) for dc in demand_col]
+    node_masks = draw(st.lists(st.integers(0, (1 << n_cols) - 1), max_size=3))
+    fm = FittingMatrix(
+        columns=tuple(range(n_cols)), demand_col=tuple(demand_col), free=tuple(free)
+    )
+    return fm, node_masks
+
+
+def bits(row, n_cols):
+    return [(row >> c) & 1 for c in range(n_cols)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(supported_patterns())
+def test_supported_minrank_below_matches_oracle(case):
+    fm, node_masks = case
+    sides = [frozenset(c for c in range(fm.n_cols) if nm >> c & 1) for nm in node_masks]
+    want = brute_supported_minrank(fm.demand_col, fm.free, fm.n_cols, node_masks)
+    unbounded = _supported_minrank(fm, sides, 20)
+    for below in [None, *range(1, fm.n_cols + 2)]:
+        rank, basis = _supported_minrank(fm, sides, 20, below)
+        if want is None or (below is not None and want >= below):
+            assert (rank, basis) == (None, None)
+            continue
+        assert rank == want
+        assert (rank, basis) == unbounded
+        # the basis is supportable and spans the row space of a completion
+        assert len(basis) == rank
+        assert all(v and any(v & ~nm == 0 for nm in node_masks) for v in basis)
+        vectors = [bits(v, fm.n_cols) for v in basis]
+        assert rank_gf2(vectors, fm.n_cols) == rank
+        assert any(
+            rank_gf2(rows, fm.n_cols) == rank == rank_gf2(rows + vectors, fm.n_cols)
+            for rows in completions(fm.demand_col, fm.free, fm.n_cols)
+        )
+
+
+@pytest.mark.parametrize(
+    "fm, free_cap",
+    [
+        # every off-demand cell free: the closed form would find rank 1
+        (FittingMatrix(columns=tuple(range(5)), demand_col=tuple(range(5)),
+                       free=tuple(0b11111 & ~(1 << r) for r in range(5))), 19),
+        (FittingMatrix(columns=tuple(range(33)), demand_col=tuple(range(33)),
+                       free=(0,) * 33), 20),
+    ],
+)
+def test_rank_one_test_checks_caps_first(fm, free_cap):
+    everything = [frozenset(fm.columns)]
+    with pytest.raises(CapExceeded):
+        _supported_minrank(fm, everything, free_cap)
+    with pytest.raises(CapExceeded):
+        _supported_minrank(fm, everything, free_cap, below=2)

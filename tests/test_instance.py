@@ -19,6 +19,7 @@ from flexshuffle.instance import (
     instance_from_text,
     instance_to_text,
     load_instance,
+    random_instance,
     save_instance,
     total_side_info,
 )
@@ -288,3 +289,53 @@ def test_load_rejects_second_p_value():
         instance_from_text(text)
     assert err.value.line == 6
     assert "one value" in str(err.value)
+
+
+def test_load_rejects_oversized_placement():
+    # a generated file's 64-bit seed, swapped into m, must not reach numpy
+    text = instance_to_text(demo_instance()).replace("m 6", "m 7434755675892716031")
+    with pytest.raises(ParseError, match="placement cells"):
+        instance_from_text(text)
+
+
+@st.composite
+def generated_instances(draw):
+    m = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 3))
+    K = draw(st.integers(0, min(m * d // 2, m * (m - 1) // 2)))
+    p = draw(st.floats(0.0, 1.0))
+    return random_instance(m, n, K, d, p, seed=draw(st.integers(0, 999)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(generated_instances())
+def test_text_round_trip_property(inst):
+    assert instance_from_text(instance_to_text(inst)) == inst
+
+
+@settings(max_examples=300, deadline=None)
+@given(generated_instances(), st.data())
+def test_mutated_text_fails_only_with_parse_errors(inst, data):
+    # A swapped-in 64-bit seed can become m; the parser refuses it before
+    # allocating the placement.
+    lines = instance_to_text(inst).splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(["drop", "duplicate", "swap"]))
+        if not lines:
+            break
+        at = data.draw(st.integers(0, len(lines) - 1))
+        if kind == "drop":
+            del lines[at]
+        elif kind == "duplicate":
+            lines.insert(at, lines[at])
+        else:
+            tokens = [(r, t) for r, line in enumerate(lines) for t in range(len(line.split()))]
+            (r1, t1), (r2, t2) = (data.draw(st.sampled_from(tokens)) for _ in range(2))
+            words = [line.split() for line in lines]
+            words[r1][t1], words[r2][t2] = words[r2][t2], words[r1][t1]
+            lines = [" ".join(w) for w in words]
+    try:
+        instance_from_text("\n".join(lines) + "\n")
+    except (ParseError, InvariantViolation):
+        pass
