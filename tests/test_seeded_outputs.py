@@ -22,6 +22,7 @@ from flexshuffle.analysis import (
     mc_no_shuffle,
     mc_outage,
     mc_uncovered,
+    no_shuffle_threshold,
 )
 from flexshuffle.coding import best_coded_plan
 from flexshuffle.engine import (
@@ -47,6 +48,11 @@ D = 2
 P_VALUES = (0.01, 0.03, 0.15, 0.5)
 SEEDS = range(5)
 TRIALS = 20
+
+# Greedy at sweep size: random_instance(100, 100, 50, 2, mult * p_th, seed),
+# plus many-round cases at d = 3 and 4.
+GREEDY_MULTS = (0.2, 0.5, 1.0)
+GREEDY_MANY_ROUNDS = ((200, 200, 100, 4, 0.2, 2), (200, 200, 100, 3, 0.3, 0))
 
 # Coded instances: random_instance(6, 5, K, 2, p, seed); demo_payloads()
 # covers messages 0..5.
@@ -77,15 +83,12 @@ def render() -> str:
             out.append(f"mc_outage {tag}: {_proportion(mc_outage(M, N, p, TRIALS, seed))}")
             out.append(f"mc_fixed_no_shuffle {tag}: {_proportion(mc_fixed_no_shuffle(*args))}")
     for seed in SEEDS:
-        inst = random_instance(M, N, K, D, 0.15, seed)
-        if missing_messages(inst):
-            out.append(f"greedy_raw_broadcasts p=0.15 seed={seed}: outage")
-            continue
-        plan = greedy_raw_broadcasts(inst)
-        out.append(
-            f"greedy_raw_broadcasts p=0.15 seed={seed}: {plan.broadcast_messages} "
-            f"{plan.senders} {plan.assignment.pairs}"
-        )
+        out.append(_greedy_line(M, N, K, D, 0.15, seed, f"p=0.15 seed={seed}"))
+    sweep_size = [(100, 100, 50, 2, mult, seed) for mult in GREEDY_MULTS for seed in SEEDS]
+    for m, n, k, d, mult, seed in sweep_size + list(GREEDY_MANY_ROUNDS):
+        p = mult * no_shuffle_threshold(n, k)
+        tag = f"m={m} n={n} K={k} d={d} p={mult!r}p_th seed={seed}"
+        out.append(_greedy_line(m, n, k, d, p, seed, tag))
     out.extend(_coded_lines())
     argv = [
         "sweep", "--m", str(M), "--n", str(N), "--K", str(K), "--d", str(D),
@@ -98,6 +101,17 @@ def render() -> str:
     out.append("## flexshuffle " + " ".join(argv))
     out.append(buf.getvalue().rstrip("\n"))
     return "\n".join(out) + "\n"
+
+
+def _greedy_line(m, n, k, d, p, seed, tag) -> str:
+    inst = random_instance(m, n, k, d, p, seed)
+    if missing_messages(inst):
+        return f"greedy_raw_broadcasts {tag}: outage"
+    plan = greedy_raw_broadcasts(inst)
+    return (
+        f"greedy_raw_broadcasts {tag}: {plan.broadcast_messages} "
+        f"{plan.senders} {plan.assignment.pairs}"
+    )
 
 
 def _coded_lines() -> list[str]:
