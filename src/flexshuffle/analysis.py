@@ -15,7 +15,7 @@ import numpy as np
 
 from .coverage import uncovered_count
 from .instance import Instance, derive_seeds, generate_placement, random_instance
-from .shuffle import greedy_raw_broadcasts, missing_messages
+from .shuffle import _uncovered_and_greedy
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -347,16 +347,9 @@ def _sweep_point(
 
     def trial(t):
         inst = random_instance(m, n, K, d, p, point_seed, t)
-        outage = bool(missing_messages(inst))
-        y = uncovered_count(inst)
-        if outage:
-            greedy = None
-        elif y == 0:
-            greedy = 0
-        else:
-            greedy = greedy_raw_broadcasts(inst).size
+        y, greedy = _uncovered_and_greedy(inst)
         covered_fixed = _fixed_covered(inst, groups) if groups else False
-        return y, greedy, outage, covered_fixed
+        return y, greedy, greedy is None, covered_fixed
 
     rows = [trial(t) for t in range(trials)]
     ys = [r[0] for r in rows]

@@ -212,10 +212,10 @@ def generate_functions(m: int, K: int, d: int, seed: int) -> FunctionSet:
     counts = [0] * m
     failures = 0
     while len(chosen) < K:
-        for a, b in rng.integers(0, m, size=(batch, 2)):
+        for a, b in rng.integers(0, m, size=(batch, 2)).tolist():
             if len(chosen) == K:
                 break
-            pair = (int(a), int(b)) if a < b else (int(b), int(a))
+            pair = (a, b) if a < b else (b, a)
             if (
                 a == b
                 or pair in seen

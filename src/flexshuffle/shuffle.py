@@ -61,7 +61,7 @@ def _missing_counts(instance: Instance) -> np.ndarray:
 
 
 def _lack_tables(instance: Instance):
-    """The tables both raw solvers search.
+    """The tables the exact raw solver searches.
 
     ``remaining[k][i]`` is how many inputs of function k node i lacks, and
     ``by_message[j]`` lists the (function, node) pairs whose node lacks
@@ -87,6 +87,11 @@ def _with_edges(adjacency: list, edges) -> list:
     for k, nodes in extra.items():
         trial[k] = sorted([*adjacency[k], *nodes])
     return trial
+
+
+def _merged(nodes, mask: np.ndarray) -> list[int]:
+    """``nodes`` plus the nodes set in the boolean ``mask``, ascending."""
+    return sorted([*nodes, *np.flatnonzero(mask).tolist()])
 
 
 def _base_matching(instance: Instance):
@@ -164,37 +169,67 @@ def greedy_raw_broadcasts(instance: Instance) -> UncodedPlan:
     and the maximum matching is re-augmented in place.
     """
     _check_solvable(instance)
+    return _greedy(instance, *_base_matching(instance))
+
+
+def _uncovered_and_greedy(instance: Instance) -> tuple[int, int | None]:
+    """Y and the greedy plan size of one sweep trial, both from one coverage
+    graph and matching; the size is None on outage."""
+    base = _base_matching(instance)
+    y = instance.k - base[-1]
+    try:
+        _check_solvable(instance)
+    except Outage:
+        return y, None
+    return y, _greedy(instance, *base).size
+
+
+def _greedy(instance: Instance, adjacency, match_fn, match_node, matched) -> UncodedPlan:
+    """Greedy rounds from a maximum matching on the coverage ``adjacency``."""
     K = instance.k
-    adjacency, match_fn, match_node, matched = _base_matching(instance)
     if matched == K:
         return _plan(instance, (), match_fn)
     functions = instance.workload.functions
-    remaining, by_message = _lack_tables(instance)
+    # lacks[k, s, i]: node i lacks input s of function k.  edges[k, s]: the
+    # nodes lacking only that input, which broadcasting it would cover.
+    lacks = (~instance.placement.cells.T)[instance.workload.inputs]
+    edges = lacks & ~lacks[:, ::-1]
+    has_edge = edges.any(axis=2).tolist()
+    # users[j]: the (function, slot) pairs reading message j, at most d.
+    users: dict[int, list[tuple[int, int]]] = {}
+    for k, pair in enumerate(functions):
+        for s, j in enumerate(pair):
+            users.setdefault(j, []).append((k, s))
     broadcast: set[int] = set()
     while matched < K:
         unmatched = [k for k in range(K) if match_fn[k] == -1]
         pool = sorted({j for k in unmatched for j in functions[k]} - broadcast)
         best_gain, best_j = -1, None
         for j in pool:
-            # j is not broadcast yet, so every pair listed under it still
-            # lacks j; the ones lacking nothing else gain an edge.
-            edges = [(k, i) for k, i in by_message.get(j, ()) if remaining[k][i] == 1]
+            sources = [(k, s) for k, s in users[j] if has_edge[k][s]]
             # The new augmenting paths are vertex-disjoint and each uses a
             # new edge, so the gain is at most the number of functions
             # with one; a candidate that cannot beat the best is not scored.
-            bound = len({k for k, _ in edges})
-            if bound <= best_gain:
+            if len(sources) <= best_gain:
                 continue
-            gain = augment(_with_edges(adjacency, edges), match_fn.copy(), match_node.copy())
+            trial = list(adjacency)
+            for k, s in sources:
+                trial[k] = _merged(adjacency[k], edges[k, s])
+            gain = augment(trial, match_fn.copy(), match_node.copy())
             if gain > best_gain:
                 best_gain, best_j = gain, j
+                # No gain exceeds K - matched and only a strictly larger
+                # one replaces the best, so the scan can stop here.
+                if best_gain == K - matched:
+                    break
         broadcast.add(best_j)
-        edges = []
-        for k, i in by_message.get(best_j, ()):
-            remaining[k][i] -= 1
-            if remaining[k][i] == 0:
-                edges.append((k, i))
-        adjacency = _with_edges(adjacency, edges)
+        # Only the functions reading best_j change: its edges join the
+        # graph, and every node now has that input.
+        for k, s in users[best_j]:
+            adjacency[k] = _merged(adjacency[k], edges[k, s])
+            lacks[k, s] = False
+            edges[k] = lacks[k] & ~lacks[k, ::-1]
+            has_edge[k] = edges[k].any(axis=1).tolist()
         matched += augment(adjacency, match_fn, match_node)
     return _plan(instance, tuple(sorted(broadcast)), match_fn)
 
