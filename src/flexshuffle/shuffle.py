@@ -175,13 +175,13 @@ def greedy_raw_broadcasts(instance: Instance) -> UncodedPlan:
 def _uncovered_and_greedy(instance: Instance) -> tuple[int, int | None]:
     """Y and the greedy plan size of one sweep trial, both from one coverage
     graph and matching; the size is None on outage."""
-    base = _base_matching(instance)
-    y = instance.k - base[-1]
+    adjacency, match_fn, match_node, matched = _base_matching(instance)
+    y = instance.k - matched
     try:
         _check_solvable(instance)
     except Outage:
         return y, None
-    return y, _greedy(instance, *base).size
+    return y, _greedy(instance, adjacency, match_fn, match_node, matched).size
 
 
 def _greedy(instance: Instance, adjacency, match_fn, match_node, matched) -> UncodedPlan:

@@ -3,6 +3,8 @@ from dataclasses import fields
 
 import pytest
 
+import flexshuffle.coverage
+import flexshuffle.shuffle
 from flexshuffle.analysis import (
     CSV_SCHEMA_VERSION,
     SweepPoint,
@@ -234,6 +236,28 @@ def test_sweep_records_errors_and_continues():
     assert len(floats) == 12
     assert all(math.isnan(getattr(pts[0], name)) for name in floats)
     assert pts[1].error == ""
+
+
+def test_sweep_greedy_infeasible_when_k_exceeds_n():
+    # every trial leaves a function uncovered, and greedy refuses K > n
+    pts = sweep([(20, 4, 6, 2)], [0.9], trials=3, seed=1)
+    assert pts[0].error == "Infeasible: K=6 functions but only n=4 nodes"
+
+
+def test_sweep_builds_one_coverage_graph_per_trial(monkeypatch):
+    calls = []
+    build = flexshuffle.coverage.build_coverage_graph
+
+    def counted(instance):
+        calls.append(instance)
+        return build(instance)
+
+    for module in (flexshuffle.coverage, flexshuffle.shuffle):
+        monkeypatch.setattr(module, "build_coverage_graph", counted)
+    (pt,) = sweep([(40, 40, 20, 2)], [0.25], trials=30, seed=5)
+    assert pt.error == ""
+    assert 0 < pt.mean_uncovered and pt.mean_tun_greedy > 0
+    assert len(calls) == 30
 
 
 def test_sweep_csv_schema():
