@@ -1,7 +1,7 @@
 """Golden file pinning seeded library and CLI outputs bit for bit.
 
 The rendering below covers random instance files, the Monte Carlo
-estimators, greedy raw-broadcast plans, a ``sweep --compare-fixed`` CSV,
+estimators, greedy and exact raw-broadcast plans, a ``sweep --compare-fixed`` CSV,
 and best coded plans with the executed transcripts of the raw,
 intermediate and coded plans of small instances.  Any change of internal representation must leave it
 byte-identical.  To inspect the rendering:
@@ -25,6 +25,7 @@ from flexshuffle.analysis import (
     no_shuffle_threshold,
 )
 from flexshuffle.coding import best_coded_plan
+from flexshuffle.errors import BudgetExceeded
 from flexshuffle.engine import (
     demo_payloads,
     run_plan,
@@ -53,6 +54,14 @@ TRIALS = 20
 # plus many-round cases at d = 3 and 4.
 GREEDY_MULTS = (0.2, 0.5, 1.0)
 GREEDY_MANY_ROUNDS = ((200, 200, 100, 4, 0.2, 2), (200, 200, 100, 3, 0.3, 0))
+
+# Exact raw plans at README size: random_instance(40, 20, 10, d, p, seed)
+# under (d, p, seed, budget).  At p=0.2 seed 2 the plan needs five
+# broadcasts, so budget 4 raises BudgetExceeded there.
+RAW_D = (2, 3, 4)
+RAW_CASES = [
+    (d, p, seed, 8) for d in RAW_D for p in (0.2, 0.3, 0.4) for seed in range(4)
+] + [(d, 0.2, 2, 4) for d in RAW_D]
 
 # Coded instances: random_instance(6, 5, K, 2, p, seed); demo_payloads()
 # covers messages 0..5.
@@ -89,6 +98,7 @@ def render() -> str:
         p = mult * no_shuffle_threshold(n, k)
         tag = f"m={m} n={n} K={k} d={d} p={mult!r}p_th seed={seed}"
         out.append(_greedy_line(m, n, k, d, p, seed, tag))
+    out.extend(_exact_raw_lines())
     out.extend(_coded_lines())
     argv = [
         "sweep", "--m", str(M), "--n", str(N), "--K", str(K), "--d", str(D),
@@ -112,6 +122,26 @@ def _greedy_line(m, n, k, d, p, seed, tag) -> str:
         f"greedy_raw_broadcasts {tag}: {plan.broadcast_messages} "
         f"{plan.senders} {plan.assignment.pairs}"
     )
+
+
+def _exact_raw_lines() -> list[str]:
+    out = []
+    for d, p, seed, budget in RAW_CASES:
+        inst = random_instance(40, 20, 10, d, p, seed)
+        tag = f"m=40 n=20 K=10 d={d} p={p!r} seed={seed} budget={budget}"
+        if missing_messages(inst):
+            out.append(f"min_raw_broadcasts {tag}: outage")
+            continue
+        try:
+            plan = min_raw_broadcasts(inst, budget=budget)
+        except BudgetExceeded as exc:
+            out.append(f"min_raw_broadcasts {tag}: {type(exc).__name__}")
+            continue
+        out.append(
+            f"min_raw_broadcasts {tag}: {plan.broadcast_messages} "
+            f"{plan.senders} {plan.assignment.pairs}"
+        )
+    return out
 
 
 def _coded_lines() -> list[str]:
