@@ -24,8 +24,8 @@ payloads = demo_payloads()
 print("=" * 64)
 print("side information")
 print("=" * 64)
-for i, side in enumerate(inst.placement.side_info):
-    names = ", ".join(payloads[j].owner for j in sorted(side))
+for i, held in enumerate(inst.placement.cells.tolist()):
+    names = ", ".join(payloads[j].owner for j, h in enumerate(held) if h)
     print(f"  node {i}: {{{names}}}")
 print("functions:", [tuple(payloads[j].owner for j in pair) for pair in inst.workload.functions])
 

@@ -33,12 +33,9 @@ from .analysis import (
 from .coding import (
     CodedPlan,
     FittingMatrix,
-    IndexCodingInstance,
     MinrankResult,
-    Receiver,
     best_coded_plan,
     build_fitting_matrix,
-    extract_instance,
     gf2_rank,
     minrank_gf2,
     optimal_coded_flexible,

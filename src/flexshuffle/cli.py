@@ -158,6 +158,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if min(args.budget, args.free_cap, args.assignment_cap) < 0:
+        print("solve: parameters out of range", file=sys.stderr)
+        return EXIT_USAGE
     instance = load_instance(args.instance)
     report: dict[str, object] = {
         "uncovered": coverage.uncovered_count(instance),

@@ -2,9 +2,12 @@
 
 An assignment of functions to nodes induces an index-coding instance: each
 assigned node demands the inputs it lacks and knows its own side
-information.  The instance's fitting matrix has a forced 1 on each demand,
-forced 0s outside side information, and free cells inside it; the minimum
-rank over all completions is the optimal scalar-linear code length.
+information.  A receiver is a (demand, held mask) pair: the demanded
+message and the node's held messages as an int bitmask (bit j for message
+j), built once per call from ``Placement.cells``.  The instance's fitting
+matrix has a forced 1 on each demand, forced 0s outside side information,
+and free cells inside it; the minimum rank over all completions is the
+optimal scalar-linear code length.
 Broadcasts here are made by the nodes themselves, so a transmitted
 combination must lie within a single node's side information
 (sender-supportability).
@@ -16,7 +19,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,24 +28,6 @@ from .errors import CapExceeded, Infeasible, InvariantViolation, Outage
 from .gf2 import gf2_rank  # noqa: F401  re-exported as flexshuffle.gf2_rank
 from .instance import Instance
 from .shuffle import missing_messages
-
-
-class Receiver(NamedTuple):
-    node: int
-    demand: int
-    side_info: frozenset[int]
-
-
-@dataclass(frozen=True)
-class IndexCodingInstance:
-    receivers: tuple[Receiver, ...]
-
-    def __post_init__(self):
-        for r in self.receivers:
-            if r.demand in r.side_info:
-                raise InvariantViolation(
-                    "demand-not-held", f"receiver {r.node} demands {r.demand} it already holds"
-                )
 
 
 @dataclass(frozen=True)
@@ -110,42 +94,40 @@ class CodedPlan:
     senders: tuple[int, ...]
 
 
-def _receivers(instance: Instance, pairs) -> list[Receiver]:
-    """One receiver per (assigned node, input message the node lacks), in
-    the order of ``pairs``, then slot order."""
-    side = instance.placement.side_info
-    return [
-        Receiver(node=i, demand=j, side_info=side[i])
-        for k, i in pairs
-        for j in instance.workload.functions[k]
-        if j not in side[i]
-    ]
+def _held_masks(cells: np.ndarray) -> list[int]:
+    """Per node, its held messages as an int bitmask (bit j: message j)."""
+    packed = np.packbits(cells, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def extract_instance(instance: Instance, assignment: Assignment) -> IndexCodingInstance:
-    """One receiver per (assigned node, input message the node lacks).
+def _receivers(functions, held: list[int], pairs) -> list[tuple[int, int]]:
+    """One (demand, held mask) receiver per (assigned node, input message
+    the node lacks), in the order of ``pairs``, then slot order."""
+    return [(j, held[i]) for k, i in pairs for j in functions[k] if not held[i] >> j & 1]
 
-    The assignment must map every function; receivers are emitted in
-    function order, then slot order, so extraction is deterministic.
+
+def build_fitting_matrix(receivers) -> FittingMatrix:
+    """The fitting matrix of a sequence of (demand, held mask) receivers.
+
+    Columns are the demanded messages in order of first appearance; a
+    receiver may not demand a message it holds.
     """
-    if sorted(k for k, _ in assignment.pairs) != list(range(instance.k)):
-        raise InvariantViolation("assignment-total", "every function needs a node")
-    return IndexCodingInstance(receivers=tuple(_receivers(instance, assignment.pairs)))
-
-
-def build_fitting_matrix(ic: IndexCodingInstance) -> FittingMatrix:
     columns: list[int] = []
     col_of: dict[int, int] = {}
-    for r in ic.receivers:
-        if r.demand not in col_of:
-            col_of[r.demand] = len(columns)
-            columns.append(r.demand)
+    for r, (demand, held) in enumerate(receivers):
+        if held >> demand & 1:
+            raise InvariantViolation(
+                "demand-not-held", f"receiver {r} demands {demand} it already holds"
+            )
+        if demand not in col_of:
+            col_of[demand] = len(columns)
+            columns.append(demand)
     demand_col, free = [], []
-    for r in ic.receivers:
-        demand_col.append(col_of[r.demand])
+    for demand, held in receivers:
+        demand_col.append(col_of[demand])
         fm = 0
         for j, c in col_of.items():
-            if j != r.demand and j in r.side_info:
+            if held >> j & 1:
                 fm |= 1 << c
         free.append(fm)
     return FittingMatrix(
@@ -197,13 +179,14 @@ def minrank_gf2(fm: FittingMatrix, free_cap: int = 20) -> MinrankResult:
     return MinrankResult(rank=rank, witness=witness, n_cols=fm.n_cols)
 
 
-def _supportable_masks(columns, side_info_sets) -> np.ndarray:
-    """Boolean table over column bitmasks: v is sendable by some single node."""
+def _supportable_masks(columns, held: list[int]) -> np.ndarray:
+    """Boolean table over column bitmasks: v is sendable by some single node.
+
+    ``held`` gives each node's held messages as a bitmask over messages.
+    """
     c = len(columns)
     table = np.zeros(1 << c, dtype=bool)
-    node_masks = set()
-    for s in side_info_sets:
-        node_masks.add(sum(1 << ci for ci, j in enumerate(columns) if j in s))
+    node_masks = {sum(1 << ci for ci, j in enumerate(columns) if h >> j & 1) for h in held}
     for nm in node_masks:
         sub = nm
         while True:
@@ -234,9 +217,19 @@ def _supportable_span(rows, n_cols: int, supp: np.ndarray) -> list[int] | None:
     return picked if len(picked) == len(basis) else None
 
 
-def _supported_minrank(fm: FittingMatrix, side_info_sets, free_cap: int, below=None):
+def _message_mask(fm: FittingMatrix, v: int) -> int:
+    """The column bitmask ``v`` as a bitmask over messages."""
+    mask = 0
+    for c, j in enumerate(fm.columns):
+        if v >> c & 1:
+            mask |= 1 << j
+    return mask
+
+
+def _supported_minrank(fm: FittingMatrix, held: list[int], free_cap: int, below=None):
     """Minimum completion rank whose row space has a supportable basis.
 
+    ``held`` gives each node's held messages as a bitmask over messages.
     Returns (rank, transmit basis) or (None, None) when no completion of
     rank below ``below`` (any rank when it is None) qualifies.  Completions
     are scanned in rank order so equal-rank witnesses are tried before the
@@ -257,12 +250,12 @@ def _supported_minrank(fm: FittingMatrix, side_info_sets, free_cap: int, below=N
         for dc in fm.demand_col:
             demanded |= 1 << dc
         if all(demanded & ~f == 1 << dc for dc, f in zip(fm.demand_col, fm.free)):
-            needed = {fm.columns[c] for c in range(fm.n_cols) if demanded >> c & 1}
-            if any(needed <= s for s in side_info_sets):
+            needed = _message_mask(fm, demanded)
+            if any(needed & ~h == 0 for h in held):
                 return 1, [demanded]
         return None, None
     completions = _completions_by_rank(fm, free_cap)
-    supp = _supportable_masks(fm.columns, side_info_sets)
+    supp = _supportable_masks(fm.columns, held)
     for rank, rows in completions:
         if below is not None and rank >= below:
             break
@@ -304,7 +297,8 @@ def best_coded_plan(
     if total > assignment_cap:
         raise CapExceeded("assignments", total, assignment_cap)
 
-    side = instance.placement.side_info
+    functions = instance.workload.functions
+    held = _held_masks(instance.placement.cells)
     best: CodedPlan | None = None
     memo: dict[frozenset, tuple | None] = {}
     for nodes in itertools.permutations(range(n), K):
@@ -312,11 +306,9 @@ def best_coded_plan(
             # Some function is uncovered under every assignment, so one
             # transmission is already optimal.
             break
-        # Receivers with the same (demand, side info) add the same row, so
-        # assignments with the same set of them share one search.
-        unique: dict[tuple, Receiver] = {}
-        for r in _receivers(instance, enumerate(nodes)):
-            unique.setdefault((r.demand, r.side_info), r)
+        # Equal receivers add equal rows, so assignments with the same set
+        # of them share one search.
+        unique = tuple(dict.fromkeys(_receivers(functions, held, enumerate(nodes))))
         key = frozenset(unique)
         if key in memo:
             hit = memo[key]
@@ -324,10 +316,9 @@ def best_coded_plan(
                 continue
             rank, basis, fm = hit
         else:
-            ic = IndexCodingInstance(receivers=tuple(unique.values()))
-            fm = build_fitting_matrix(ic)
+            fm = build_fitting_matrix(unique)
             below = None if best is None else best.count
-            rank, basis = _supported_minrank(fm, side, free_cap, below)
+            rank, basis = _supported_minrank(fm, held, free_cap, below)
             # None means no supportable completion below the count known
             # when the pattern was searched; the count never rises, so the
             # pattern stays useless for the rest of the search.
@@ -335,18 +326,16 @@ def best_coded_plan(
             if rank is None:
                 continue
         if best is None or rank < best.count:
-            broadcasts = tuple(
-                frozenset(fm.columns[c] for c in range(fm.n_cols) if v & (1 << c))
-                for v in basis
-            )
-            senders = tuple(
-                min(i for i in range(n) if b <= side[i]) for b in broadcasts
-            )
+            masks = [_message_mask(fm, v) for v in basis]
             best = CodedPlan(
                 count=rank,
                 assignment=Assignment(pairs=tuple(enumerate(nodes))),
-                broadcasts=broadcasts,
-                senders=senders,
+                broadcasts=tuple(
+                    frozenset(j for j in fm.columns if b >> j & 1) for b in masks
+                ),
+                senders=tuple(
+                    min(i for i, h in enumerate(held) if b & ~h == 0) for b in masks
+                ),
             )
     if best is None:
         raise Infeasible("no sender-supportable code exists for any assignment")

@@ -171,22 +171,13 @@ def augment(adjacency, match_fn: list[int], match_node: list[int]) -> int:
     return gained
 
 
-def hopcroft_karp(
-    adjacency,
-    n_nodes: int,
-    initial: dict[int, int] | None = None,
-) -> dict[int, int]:
+def hopcroft_karp(adjacency, n_nodes: int) -> dict[int, int]:
     """Maximum-cardinality matching, returned as {function: node}.
 
-    Adjacency lists must be sorted ascending (see ``augment``).  ``initial``
-    seeds the matching with known-valid edges; every function it matches
-    stays matched, though possibly to another node.
+    Adjacency lists must be sorted ascending (see ``augment``).
     """
     match_fn = [_INF] * len(adjacency)
     match_node = [_INF] * n_nodes
-    for k, i in (initial or {}).items():
-        match_fn[k] = i
-        match_node[i] = k
     augment(adjacency, match_fn, match_node)
     return {k: i for k, i in enumerate(match_fn) if i != _INF}
 

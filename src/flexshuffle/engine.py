@@ -115,11 +115,11 @@ def map_phase(instance: Instance, payloads: dict[int, MessagePayload]):
     just the friend list of that input message.
     """
     values: dict[int, dict[tuple[int, int], tuple[str, ...]]] = {}
-    for i, side in enumerate(instance.placement.side_info):
+    for i, held in enumerate(instance.placement.cells.tolist()):
         mine = {}
         for k, pair in enumerate(instance.workload.functions):
             for slot, j in enumerate(pair):
-                if j in side:
+                if held[j]:
                     mine[(k, slot)] = payloads[j].friends
         values[i] = mine
     return values
@@ -129,7 +129,7 @@ def raw_transmission(
     instance: Instance, payloads: dict[int, MessagePayload], sender: int, j: int
 ) -> Transmission:
     width = payload_width(payloads)
-    if j not in instance.placement.side_info[sender]:
+    if not instance.placement.cells[sender].tolist()[j]:
         raise InvariantViolation("sender-holds-support", f"node {sender} lacks message {j}")
     return Transmission(
         sender=sender, kind="raw", support=(j,), data=encode_payload(payloads[j], width)
@@ -141,11 +141,10 @@ def coded_transmission(
 ) -> Transmission:
     width = payload_width(payloads)
     support = tuple(sorted(support))
-    side = instance.placement.side_info[sender]
-    if not set(support) <= side:
-        raise InvariantViolation(
-            "sender-holds-support", f"node {sender} lacks {set(support) - side}"
-        )
+    held = instance.placement.cells[sender].tolist()
+    lacking = {j for j in support if not held[j]}
+    if lacking:
+        raise InvariantViolation("sender-holds-support", f"node {sender} lacks {lacking}")
     data = 0
     for j in support:
         data ^= int.from_bytes(encode_payload(payloads[j], width), "big")
@@ -158,7 +157,7 @@ def intermediate_transmission(
     instance: Instance, payloads: dict[int, MessagePayload], sender: int, k: int, slot: int
 ) -> Transmission:
     j = instance.workload.functions[k][slot]
-    if j not in instance.placement.side_info[sender]:
+    if not instance.placement.cells[sender].tolist()[j]:
         raise InvariantViolation(
             "sender-computes-value", f"node {sender} cannot produce slot {slot} of function {k}"
         )
@@ -183,10 +182,10 @@ def transmissions_from_intermediate_plan(
     instance: Instance, payloads: dict[int, MessagePayload], plan: IntermediatePlan
 ) -> list[Transmission]:
     out = []
+    rows = instance.placement.cells.tolist()
     for k, i in plan.assignment.pairs:
-        side = instance.placement.side_info[i]
         for slot, j in enumerate(instance.workload.functions[k]):
-            if j not in side:
+            if not rows[i][j]:
                 sender = instance.placement.holders(j)[0]
                 out.append(intermediate_transmission(instance, payloads, sender, k, slot))
     return out
@@ -204,14 +203,15 @@ def transmissions_from_coded_plan(
     return out
 
 
-def _decode_node(side, encoded, transmissions, n_msgs: int, width: int):
+def _decode_node(held, encoded, transmissions, n_msgs: int, width: int):
     """Messages a node can recover by GF(2) elimination over what it heard.
 
     Each raw or coded transmission becomes one augmented row: the mask of
     its messages the node lacks (bits below ``n_msgs``), then provenance
     bits for the transmission and for each local message XORed out of it,
-    then the payload.  ``encoded`` maps each held message to its encoding as
-    an int.  Returns {message: (payload, provenance string)}.
+    then the payload.  ``held[j]`` is true when the node holds message j,
+    and ``encoded`` maps each held message to its encoding as an int.
+    Returns {message: (payload, provenance string)}.
     """
     local_at = n_msgs + len(transmissions)
     payload_at = local_at + n_msgs
@@ -221,7 +221,7 @@ def _decode_node(side, encoded, transmissions, n_msgs: int, width: int):
             continue
         row = int.from_bytes(tx.data, "big") << payload_at | 1 << (n_msgs + t)
         for j in tx.support:
-            if j in side:
+            if held[j]:
                 row ^= encoded[j] << payload_at | 1 << (local_at + j)
             else:
                 row |= 1 << j
@@ -258,6 +258,7 @@ def run_plan(
     encoded = {j: int.from_bytes(encode_payload(p, width), "big") for j, p in payloads.items()}
     transcript = Transcript(transmissions=list(transmissions))
     values = map_phase(instance, payloads)
+    rows = instance.placement.cells.tolist()
     failures = []
     results: dict[int, tuple[str, ...]] = {}
     received = {
@@ -266,8 +267,7 @@ def run_plan(
         if tx.kind == "intermediate"
     }
     for k, i in assignment.pairs:
-        side = instance.placement.side_info[i]
-        decoded = _decode_node(side, encoded, transcript.transmissions, instance.m, width)
+        decoded = _decode_node(rows[i], encoded, transcript.transmissions, instance.m, width)
         inputs = []
         for slot, j in enumerate(instance.workload.functions[k]):
             if (k, slot) in values[i]:

@@ -40,9 +40,9 @@ class Placement:
     """Which messages each node holds.
 
     ``cells[i, j]`` is True when node i holds message j.  The array is a
-    read-only copy of the one passed in; ``side_info`` is derived from it
-    on first access.  ``p`` and ``seed`` are generation metadata and may
-    be ``None`` for hand-built placements.
+    read-only copy of the one passed in, and the only stored form of the
+    placement.  ``p`` and ``seed`` are generation metadata and may be
+    ``None`` for hand-built placements.
     """
 
     m: int
@@ -76,14 +76,7 @@ class Placement:
                         "message-index-range", f"node {i} holds {j}, valid range [0, {m})"
                     )
             cells[i, list(s)] = True
-        placement = cls(m=m, n=n, cells=cells, p=p, seed=seed)
-        placement.__dict__["side_info"] = side  # the view, already built
-        return placement
-
-    @functools.cached_property
-    def side_info(self) -> tuple[frozenset[int], ...]:
-        """Per node, the frozenset of message indices it holds."""
-        return tuple(frozenset(np.flatnonzero(row).tolist()) for row in self.cells)
+        return cls(m=m, n=n, cells=cells, p=p, seed=seed)
 
     def holders(self, j: int) -> tuple[int, ...]:
         """Nodes holding message j, ascending."""
@@ -284,8 +277,8 @@ def instance_to_text(instance: Instance) -> str:
         lines.append(f"p {pl.p!r}")
     if pl.seed is not None:
         lines.append(f"seed {pl.seed}")
-    for s in pl.side_info:
-        lines.append(("node " + " ".join(str(j) for j in sorted(s))).rstrip())
+    for row in pl.cells:
+        lines.append(" ".join(["node", *map(str, np.flatnonzero(row).tolist())]))
     for j1, j2 in fs.functions:
         lines.append(f"func {j1} {j2}")
     return "\n".join(lines) + "\n"

@@ -10,7 +10,6 @@ to a min-cost assignment.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,33 +59,21 @@ def _missing_counts(instance: Instance) -> np.ndarray:
     return (lacks[:, j1].astype(np.int64) + lacks[:, j2]).T
 
 
-def _lack_tables(instance: Instance):
-    """The tables the exact raw solver searches.
+def _input_tables(instance: Instance):
+    """The (K, 2, n) tables both raw solvers search.
 
-    ``remaining[k][i]`` is how many inputs of function k node i lacks, and
-    ``by_message[j]`` lists the (function, node) pairs whose node lacks
-    input j.  Only messages that some node lacks are keys.
+    ``lacks[k, s, i]``: node i lacks input s of function k.
+    ``edges[k, s]``: the nodes lacking only that input, which broadcasting
+    it would cover.  ``users[j]``: the (function, slot) pairs reading
+    message j, at most d.
     """
-    remaining = _missing_counts(instance).tolist()
-    lacks = ~instance.placement.cells
-    by_message: dict[int, list[tuple[int, int]]] = {}
+    lacks = (~instance.placement.cells.T)[instance.workload.inputs]
+    edges = lacks & ~lacks[:, ::-1]
+    users: dict[int, list[tuple[int, int]]] = {}
     for k, pair in enumerate(instance.workload.functions):
-        for j in pair:
-            nodes = np.flatnonzero(lacks[:, j]).tolist()
-            if nodes:
-                by_message.setdefault(j, []).extend((k, i) for i in nodes)
-    return remaining, by_message
-
-
-def _with_edges(adjacency: list, edges) -> list:
-    """A copy of ``adjacency`` with (function, node) ``edges`` added, sorted."""
-    extra: dict[int, list[int]] = {}
-    for k, i in edges:
-        extra.setdefault(k, []).append(i)
-    trial = list(adjacency)
-    for k, nodes in extra.items():
-        trial[k] = sorted([*adjacency[k], *nodes])
-    return trial
+        for s, j in enumerate(pair):
+            users.setdefault(j, []).append((k, s))
+    return lacks, edges, users
 
 
 def _merged(nodes, mask: np.ndarray) -> list[int]:
@@ -139,19 +126,41 @@ def min_raw_broadcasts(instance: Instance, budget: int = 8) -> UncodedPlan:
     adjacency, match_fn, match_node, matched = _base_matching(instance)
     if matched == K:
         return _plan(instance, (), match_fn)
-    remaining, by_message = _lack_tables(instance)
-    candidates = sorted(by_message)
+    lacks, edges, users = _input_tables(instance)
+    # single[k][s]: the nodes a broadcast of input s alone adds to
+    # function k; both[k]: those it gains when both inputs are broadcast,
+    # built on first use.
+    single = [[np.flatnonzero(row).tolist() for row in e] for e in edges]
+    both: dict[int, list[int]] = {}
+    held_by_all = instance.placement.cells.all(axis=0).tolist()
+    candidates = sorted(j for j in users if not held_by_all[j])
     for size in range(1, min(budget, len(candidates)) + 1):
         for combo in itertools.combinations(candidates, size):
-            # A pair gains an edge when the combo holds every input it lacks.
-            hits = Counter(pair for j in combo for pair in by_message[j])
-            edges = [(k, i) for (k, i), c in hits.items() if c == remaining[k][i]]
+            # A node gains an edge at k when the combo holds every input it
+            # lacks: slot s when only that input is in the combo, -1 for both.
+            slots: dict[int, int] = {}
+            for j in combo:
+                for k, s in users[j]:
+                    slots[k] = -1 if k in slots else s
+            gains = []
+            for k, s in slots.items():
+                if s >= 0:
+                    nodes = single[k][s]
+                else:
+                    nodes = both.get(k)
+                    if nodes is None:
+                        nodes = both[k] = np.flatnonzero(lacks[k, 0] | lacks[k, 1]).tolist()
+                if nodes:
+                    gains.append((k, nodes))
             # Each missing function needs its own augmenting path, and each
             # path a new edge at a function of its own (see greedy).
-            if len({k for k, _ in edges}) < K - matched:
+            if len(gains) < K - matched:
                 continue
+            trial = list(adjacency)
+            for k, nodes in gains:
+                trial[k] = sorted([*adjacency[k], *nodes])
             trial_fn = match_fn.copy()
-            gained = augment(_with_edges(adjacency, edges), trial_fn, match_node.copy())
+            gained = augment(trial, trial_fn, match_node.copy())
             if matched + gained == K:
                 return _plan(instance, combo, trial_fn)
     raise BudgetExceeded(budget)
@@ -190,16 +199,8 @@ def _greedy(instance: Instance, adjacency, match_fn, match_node, matched) -> Unc
     if matched == K:
         return _plan(instance, (), match_fn)
     functions = instance.workload.functions
-    # lacks[k, s, i]: node i lacks input s of function k.  edges[k, s]: the
-    # nodes lacking only that input, which broadcasting it would cover.
-    lacks = (~instance.placement.cells.T)[instance.workload.inputs]
-    edges = lacks & ~lacks[:, ::-1]
+    lacks, edges, users = _input_tables(instance)
     has_edge = edges.any(axis=2).tolist()
-    # users[j]: the (function, slot) pairs reading message j, at most d.
-    users: dict[int, list[tuple[int, int]]] = {}
-    for k, pair in enumerate(functions):
-        for s, j in enumerate(pair):
-            users.setdefault(j, []).append((k, s))
     broadcast: set[int] = set()
     while matched < K:
         unmatched = [k for k in range(K) if match_fn[k] == -1]

@@ -9,6 +9,13 @@ from __future__ import annotations
 import itertools
 
 
+def side_sets(placement):
+    """Per node, the frozenset of messages it holds, read cell by cell."""
+    return tuple(
+        frozenset(j for j, held in enumerate(row) if held) for row in placement.cells.tolist()
+    )
+
+
 def brute_max_matching(adjacency, n_nodes: int) -> int:
     """Largest injective partial assignment, by recursion over functions."""
 
@@ -26,7 +33,7 @@ def brute_max_matching(adjacency, n_nodes: int) -> int:
 
 def covered_nodes(instance, extra=frozenset()):
     """Adjacency lists after broadcasting ``extra`` to everyone."""
-    side = instance.placement.side_info
+    side = side_sets(instance.placement)
     out = []
     for j1, j2 in instance.workload.functions:
         out.append(
@@ -41,7 +48,7 @@ def covered_nodes(instance, extra=frozenset()):
 
 def missing_messages(instance):
     """Sorted workload messages outside the union of all side-info sets."""
-    held = frozenset().union(*instance.placement.side_info)
+    held = frozenset().union(*side_sets(instance.placement))
     return tuple(sorted(instance.workload.used_messages() - held))
 
 
@@ -51,7 +58,7 @@ def brute_min_raw_broadcasts(instance, max_size: int = 4):
     Enumerates every subset of the held, workload-relevant messages up to
     ``max_size``, smallest first.
     """
-    held = frozenset().union(*instance.placement.side_info)
+    held = frozenset().union(*side_sets(instance.placement))
     candidates = sorted(instance.workload.used_messages() & held)
     K = instance.k
     for size in range(0, max_size + 1):
@@ -64,7 +71,7 @@ def brute_min_raw_broadcasts(instance, max_size: int = 4):
 
 def brute_min_intermediate(instance):
     """Minimum total missing-input count over all total injective assignments."""
-    side = instance.placement.side_info
+    side = side_sets(instance.placement)
     K, n = instance.k, instance.n
     if K > n:
         return None

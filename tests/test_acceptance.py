@@ -28,8 +28,6 @@ from flexshuffle.analysis import (
     outage_threshold,
 )
 from flexshuffle.coding import (
-    IndexCodingInstance,
-    Receiver,
     best_coded_plan,
     build_fitting_matrix,
     minrank_gf2,
@@ -233,27 +231,12 @@ def _synthetic_payloads(m, seed):
 
 
 def test_c09_minrank_fixtures():
+    # Receivers are (demand, held messages as a bitmask) pairs.
     for r in (1, 2, 3, 4):
-        ic = IndexCodingInstance(
-            receivers=tuple(
-                Receiver(node=i, demand=i, side_info=frozenset()) for i in range(r)
-            ),
-        )
-        assert minrank_gf2(build_fitting_matrix(ic)).rank == r
-    cycle = IndexCodingInstance(
-        receivers=tuple(
-            Receiver(node=i, demand=i, side_info=frozenset({(i + 1) % 3}))
-            for i in range(3)
-        ),
-    )
+        assert minrank_gf2(build_fitting_matrix([(i, 0) for i in range(r)])).rank == r
+    cycle = [(i, 1 << (i + 1) % 3) for i in range(3)]
     assert minrank_gf2(build_fitting_matrix(cycle)).rank == 2
-    walkthrough = IndexCodingInstance(
-        receivers=(
-            Receiver(node=0, demand=3, side_info=frozenset({0, 2, 4})),
-            Receiver(node=1, demand=2, side_info=frozenset({1, 3, 5})),
-            Receiver(node=2, demand=0, side_info=frozenset({1, 4, 5})),
-        ),
-    )
+    walkthrough = [(3, 0b010101), (2, 0b101010), (0, 0b110010)]  # {0,2,4} {1,3,5} {1,4,5}
     assert minrank_gf2(build_fitting_matrix(walkthrough)).rank == 2
     report(9, "minrank fixtures")
 

@@ -57,6 +57,14 @@ def demo_file(tmp_path):
     return path
 
 
+@pytest.mark.parametrize("flag", ["--budget", "--free-cap", "--assignment-cap"])
+def test_solve_rejects_negative_caps(tmp_path, capsys, flag):
+    code, out, err = run(capsys, "solve", str(demo_file(tmp_path)), flag, "-1")
+    assert code == cli.EXIT_USAGE
+    assert "parameters out of range" in err
+    assert out == ""
+
+
 def test_solve_demo_text(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", str(demo_file(tmp_path)))
     assert code == cli.EXIT_OK

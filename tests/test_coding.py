@@ -1,16 +1,15 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_minrank, brute_supported_minrank, completions, rank_gf2
+from oracles import brute_minrank, brute_supported_minrank, completions, rank_gf2, side_sets
 
 from flexshuffle.coding import (
     FittingMatrix,
-    IndexCodingInstance,
-    Receiver,
+    _held_masks,
+    _receivers,
     _supported_minrank,
     best_coded_plan,
     build_fitting_matrix,
-    extract_instance,
     gf2_rank,
     minrank_gf2,
     optimal_coded_flexible,
@@ -38,13 +37,20 @@ def demo_walkthrough_assignment():
     return Assignment(pairs=((0, 2), (1, 1), (2, 0)))
 
 
+def mask(messages) -> int:
+    return sum(1 << j for j in messages)
+
+
+def receivers(inst, pairs):
+    return _receivers(inst.workload.functions, _held_masks(inst.placement.cells), pairs)
+
+
 def test_extract_demo():
-    ic = extract_instance(demo_instance(), demo_walkthrough_assignment())
-    assert ic.receivers == (
-        Receiver(node=2, demand=0, side_info=frozenset({1, 4, 5})),
-        Receiver(node=1, demand=2, side_info=frozenset({1, 3, 5})),
-        Receiver(node=0, demand=3, side_info=frozenset({0, 2, 4})),
-    )
+    assert receivers(demo_instance(), demo_walkthrough_assignment().pairs) == [
+        (0, mask({1, 4, 5})),
+        (2, mask({1, 3, 5})),
+        (3, mask({0, 2, 4})),
+    ]
 
 
 def test_extract_p1_empty():
@@ -52,8 +58,7 @@ def test_extract_p1_empty():
         placement=generate_placement(6, 4, 1.0, seed=0),
         workload=generate_functions(6, 3, 2, seed=1),
     )
-    ic = extract_instance(inst, Assignment(pairs=((0, 0), (1, 1), (2, 2))))
-    assert ic.receivers == ()
+    assert receivers(inst, ((0, 0), (1, 1), (2, 2))) == []
 
 
 def test_extract_double_missing_gives_two_receivers():
@@ -64,29 +69,20 @@ def test_extract_double_missing_gives_two_receivers():
         placement=Placement.from_sets(m=4, n=2, side_info=(frozenset({0, 1}), frozenset({2, 3}))),
         workload=FunctionSet(functions=((0, 1),), d=1),
     )
-    ic = extract_instance(inst, Assignment(pairs=((0, 1),)))
-    assert len(ic.receivers) == 2
-    assert {r.demand for r in ic.receivers} == {0, 1}
-    assert ic.receivers[0].side_info == ic.receivers[1].side_info == frozenset({2, 3})
+    assert receivers(inst, ((0, 1),)) == [(0, mask({2, 3})), (1, mask({2, 3}))]
 
 
 def test_receiver_cannot_demand_held_message():
-    with pytest.raises(InvariantViolation):
-        IndexCodingInstance(
-            receivers=(Receiver(node=0, demand=1, side_info=frozenset({1})),),
-        )
+    with pytest.raises(InvariantViolation) as err:
+        build_fitting_matrix([(1, mask({1}))])
+    assert err.value.invariant == "demand-not-held"
 
 
 def walkthrough_fitting_matrix():
     # receivers ordered so the columns come out (D, C, A) = (3, 2, 0)
-    ic = IndexCodingInstance(
-        receivers=(
-            Receiver(node=0, demand=3, side_info=frozenset({0, 2, 4})),
-            Receiver(node=1, demand=2, side_info=frozenset({1, 3, 5})),
-            Receiver(node=2, demand=0, side_info=frozenset({1, 4, 5})),
-        ),
+    return build_fitting_matrix(
+        [(3, mask({0, 2, 4})), (2, mask({1, 3, 5})), (0, mask({1, 4, 5}))]
     )
-    return build_fitting_matrix(ic)
 
 
 def test_fitting_matrix_demo_pattern():
@@ -101,24 +97,13 @@ def test_fitting_matrix_demo_pattern():
 
 
 def test_fitting_matrix_no_side_info_is_identity_pattern():
-    ic = IndexCodingInstance(
-        receivers=tuple(
-            Receiver(node=i, demand=i, side_info=frozenset()) for i in range(3)
-        ),
-    )
-    fm = build_fitting_matrix(ic)
+    fm = build_fitting_matrix([(i, 0) for i in range(3)])
     assert all(fm.free[r] == 0 for r in range(3))
     assert fm.demand_col == (0, 1, 2)
 
 
 def test_fitting_matrix_repeated_demand_shares_column():
-    ic = IndexCodingInstance(
-        receivers=(
-            Receiver(node=0, demand=7, side_info=frozenset()),
-            Receiver(node=1, demand=7, side_info=frozenset()),
-        ),
-    )
-    fm = build_fitting_matrix(ic)
+    fm = build_fitting_matrix([(7, 0), (7, 0)])
     assert fm.n_cols == 1
     assert fm.demand_col == (0, 0)
     assert fm.free == (0, 0)
@@ -126,23 +111,12 @@ def test_fitting_matrix_repeated_demand_shares_column():
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_minrank_identity_pattern(r):
-    ic = IndexCodingInstance(
-        receivers=tuple(
-            Receiver(node=i, demand=i, side_info=frozenset()) for i in range(r)
-        ),
-    )
-    result = minrank_gf2(build_fitting_matrix(ic))
+    result = minrank_gf2(build_fitting_matrix([(i, 0) for i in range(r)]))
     assert result.rank == r
 
 
 def test_minrank_three_cycle():
-    ic = IndexCodingInstance(
-        receivers=tuple(
-            Receiver(node=i, demand=i, side_info=frozenset({(i + 1) % 3}))
-            for i in range(3)
-        ),
-    )
-    fm = build_fitting_matrix(ic)
+    fm = build_fitting_matrix([(i, mask({(i + 1) % 3})) for i in range(3)])
     result = minrank_gf2(fm)
     assert result.rank == 2
     assert brute_minrank(fm.demand_col, fm.free, fm.n_cols) == 2
@@ -215,7 +189,7 @@ def test_optimal_coded_demo_is_two():
 def test_best_coded_plan_demo_supportable():
     plan = best_coded_plan(demo_instance())
     assert plan.count == 2
-    side = demo_instance().placement.side_info
+    side = side_sets(demo_instance().placement)
     for support, sender in zip(plan.broadcasts, plan.senders):
         assert support <= side[sender]
 
@@ -256,14 +230,14 @@ def test_minrank_bounded_by_receivers_and_demands():
         import itertools
 
         for nodes in itertools.permutations(range(inst.n), inst.k):
-            ic = extract_instance(inst, Assignment(pairs=tuple(enumerate(nodes))))
-            if not ic.receivers:
+            rs = receivers(inst, enumerate(nodes))
+            if not rs:
                 continue
-            fm = build_fitting_matrix(ic)
+            fm = build_fitting_matrix(rs)
             if len(fm.free_cells) > 16:
                 continue
             rank = minrank_gf2(fm).rank
-            assert rank <= len(ic.receivers)
+            assert rank <= len(rs)
             assert rank <= fm.n_cols
 
 
@@ -287,12 +261,11 @@ def bits(row, n_cols):
 @settings(max_examples=200, deadline=None)
 @given(supported_patterns())
 def test_supported_minrank_below_matches_oracle(case):
-    fm, node_masks = case
-    sides = [frozenset(c for c in range(fm.n_cols) if nm >> c & 1) for nm in node_masks]
+    fm, node_masks = case  # columns are messages 0..n_cols-1
     want = brute_supported_minrank(fm.demand_col, fm.free, fm.n_cols, node_masks)
-    unbounded = _supported_minrank(fm, sides, 20)
+    unbounded = _supported_minrank(fm, node_masks, 20)
     for below in [None, *range(1, fm.n_cols + 2)]:
-        rank, basis = _supported_minrank(fm, sides, 20, below)
+        rank, basis = _supported_minrank(fm, node_masks, 20, below)
         if want is None or (below is not None and want >= below):
             assert (rank, basis) == (None, None)
             continue
@@ -320,7 +293,7 @@ def test_supported_minrank_below_matches_oracle(case):
     ],
 )
 def test_rank_one_test_checks_caps_first(fm, free_cap):
-    everything = [frozenset(fm.columns)]
+    everything = [mask(fm.columns)]
     with pytest.raises(CapExceeded):
         _supported_minrank(fm, everything, free_cap)
     with pytest.raises(CapExceeded):

@@ -3,11 +3,12 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_max_matching, covered_nodes
+from oracles import brute_max_matching, covered_nodes, side_sets
 
 from flexshuffle.coverage import (
     Assignment,
     CoverageGraph,
+    augment,
     build_coverage_graph,
     hopcroft_karp,
     max_matching,
@@ -146,13 +147,9 @@ def test_node_permutation_invariance():
     for seed in range(25):
         inst = tiny_instance(seed)
         base = uncovered_count(inst)
-        perm = list(range(inst.n))[::-1]
+        side = side_sets(inst.placement)
         permuted = Instance(
-            placement=Placement.from_sets(
-                m=inst.m,
-                n=inst.n,
-                side_info=tuple(inst.placement.side_info[i] for i in perm),
-            ),
+            placement=Placement.from_sets(m=inst.m, n=inst.n, side_info=side[::-1]),
             workload=inst.workload,
         )
         assert uncovered_count(permuted) == base
@@ -167,7 +164,7 @@ def test_one_lipschitz_in_nodes():
         base = uncovered_count(inst)
         for drop in range(inst.n):
             side = tuple(
-                s for i, s in enumerate(inst.placement.side_info) if i != drop
+                s for i, s in enumerate(side_sets(inst.placement)) if i != drop
             )
             smaller = Instance(
                 placement=Placement.from_sets(m=inst.m, n=inst.n - 1, side_info=side),
@@ -179,7 +176,7 @@ def test_one_lipschitz_in_nodes():
         new_node = frozenset(j for j in range(inst.m) if rng.random() < 0.5)
         bigger = Instance(
             placement=Placement.from_sets(
-                m=inst.m, n=inst.n + 1, side_info=inst.placement.side_info + (new_node,)
+                m=inst.m, n=inst.n + 1, side_info=side_sets(inst.placement) + (new_node,)
             ),
             workload=inst.workload,
         )
@@ -190,11 +187,12 @@ def test_adding_side_info_is_monotone():
     for seed in range(25):
         inst = tiny_instance(seed)
         base = uncovered_count(inst)
+        held = side_sets(inst.placement)
         for i in range(inst.n):
             for j in range(inst.m):
-                if j in inst.placement.side_info[i]:
+                if j in held[i]:
                     continue
-                side = list(inst.placement.side_info)
+                side = list(held)
                 side[i] = side[i] | {j}
                 bigger = Instance(
                     placement=Placement.from_sets(m=inst.m, n=inst.n, side_info=tuple(side)),
@@ -203,12 +201,21 @@ def test_adding_side_info_is_monotone():
                 assert uncovered_count(bigger) <= base
 
 
+def seeded_augment(adjacency, n, initial):
+    """``augment`` from the matching ``initial``; returns the gain and the
+    match_fn/match_node lists it grew in place."""
+    match_fn, match_node = [-1] * len(adjacency), [-1] * n
+    for k, i in initial.items():
+        match_fn[k], match_node[i] = i, k
+    return augment(adjacency, match_fn, match_node), match_fn, match_node
+
+
 def test_hopcroft_karp_initial_matching_preserved():
     adjacency = ((0, 1), (1, 2), (2,))
-    full = hopcroft_karp(adjacency, 3)
-    seeded = hopcroft_karp(adjacency, 3, initial={0: 0})
-    assert len(full) == len(seeded) == 3
-    assert seeded[0] == 0
+    assert len(hopcroft_karp(adjacency, 3)) == 3
+    gained, match_fn, match_node = seeded_augment(adjacency, 3, {0: 0})
+    assert gained == 2
+    assert match_fn == match_node == [0, 1, 2]
 
 
 @st.composite
@@ -235,10 +242,14 @@ def graphs_with_seed_matching(draw):
 @given(graphs_with_seed_matching())
 def test_hopcroft_karp_seeded_is_maximum_and_keeps_seed(case):
     adjacency, n, initial = case
-    matching = hopcroft_karp(adjacency, n, initial=dict(initial))
-    assert len(matching) == brute_max_matching(adjacency, n)
+    gained, match_fn, match_node = seeded_augment(adjacency, n, initial)
+    matching = {k: i for k, i in enumerate(match_fn) if i != -1}
+    assert len(matching) == len(initial) + gained == brute_max_matching(adjacency, n)
     assert all(i in adjacency[k] for k, i in matching.items())
-    assert len(set(matching.values())) == len(matching)
+    # match_node is the inverse of match_fn, so no node is used twice
+    assert {i: k for i, k in enumerate(match_node) if k != -1} == {
+        i: k for k, i in matching.items()
+    }
     assert set(initial) <= set(matching)
 
 

@@ -205,5 +205,5 @@ def test_demo_plan_transmission_invariants():
     inst = demo_instance()
     payloads = demo_payloads()
     for tx in demo_plan(inst, payloads):
-        assert set(tx.support) <= inst.placement.side_info[tx.sender]
+        assert all(inst.placement.cells[tx.sender, j] for j in tx.support)
     assert demo_assignment().mapping == {0: 2, 1: 1, 2: 0}

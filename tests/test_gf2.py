@@ -82,7 +82,8 @@ def test_decoder_recovers_exactly_the_span(case):
             data = xor(data, raw[j])
         transmissions.append(Transmission(sender=0, kind="coded", support=support, data=data))
     encoded = {j: int.from_bytes(b, "big") for j, b in raw.items()}
-    decoded = _decode_node(side, encoded, transmissions, m, width)
+    held = [j in side for j in range(m)]
+    decoded = _decode_node(held, encoded, transmissions, m, width)
 
     heard = [sum(1 << j for j in s if j not in side) for s in supports]
     rank = rank_gf2(bit_lists(heard, m), m)

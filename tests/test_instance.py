@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import side_sets
 
 from flexshuffle.errors import Infeasible, InvariantViolation, ParseError
 from flexshuffle.instance import (
@@ -27,12 +28,12 @@ from flexshuffle.instance import (
 
 def test_placement_p0_all_empty():
     pl = generate_placement(6, 4, 0.0, seed=123)
-    assert all(len(s) == 0 for s in pl.side_info)
+    assert all(len(s) == 0 for s in side_sets(pl))
 
 
 def test_placement_p1_all_full():
     pl = generate_placement(6, 4, 1.0, seed=123)
-    assert all(s == frozenset(range(6)) for s in pl.side_info)
+    assert all(s == frozenset(range(6)) for s in side_sets(pl))
 
 
 def test_placement_total_concentrates():
@@ -53,7 +54,7 @@ def test_placement_deterministic():
 def test_placement_coupled_across_p():
     lo = generate_placement(40, 15, 0.2, seed=5)
     hi = generate_placement(40, 15, 0.6, seed=5)
-    for s_lo, s_hi in zip(lo.side_info, hi.side_info):
+    for s_lo, s_hi in zip(side_sets(lo), side_sets(hi)):
         assert s_lo <= s_hi
 
 
@@ -63,7 +64,7 @@ def test_placement_cell_frequency():
     counts = [[0] * m for _ in range(n)]
     for seed in range(trials):
         pl = generate_placement(m, n, p, seed)
-        for i, s in enumerate(pl.side_info):
+        for i, s in enumerate(side_sets(pl)):
             for j in s:
                 counts[i][j] += 1
     sd = math.sqrt(trials * p * (1 - p))
@@ -75,10 +76,9 @@ def test_placement_cell_frequency():
 def test_demo_placement_matches_walkthrough():
     pl = demo_placement()
     assert (pl.m, pl.n) == (6, 4)
-    assert pl.side_info[0] == frozenset({0, 2, 4})
-    assert pl.side_info[1] == frozenset({1, 3, 5})
-    assert pl.side_info[2] == frozenset({1, 4, 5})
-    assert pl.side_info[3] == frozenset({0, 2, 3})
+    assert side_sets(pl) == (
+        frozenset({0, 2, 4}), frozenset({1, 3, 5}), frozenset({1, 4, 5}), frozenset({0, 2, 3})
+    )
 
 
 def test_demo_functions():
@@ -159,19 +159,23 @@ def test_placement_rejects_wrong_length():
 
 def test_from_sets_equals_generated():
     gen = generate_placement(15, 9, 0.4, seed=8)
-    built = Placement.from_sets(15, 9, gen.side_info, p=0.4, seed=gen.seed)
+    built = Placement.from_sets(15, 9, side_sets(gen), p=0.4, seed=gen.seed)
     assert built == gen
     assert hash(built) == hash(gen)
     assert np.array_equal(built.cells, gen.cells)
-    assert Placement.from_sets(15, 9, gen.side_info) != gen  # metadata differs
+    assert Placement.from_sets(15, 9, side_sets(gen)) != gen  # metadata differs
 
 
 def test_side_info_derived_from_cells():
-    pl = generate_placement(20, 7, 0.3, seed=4)
-    assert pl.side_info == tuple(
-        frozenset(j for j in range(20) if pl.cells[i, j]) for i in range(7)
-    )
-    assert pl.holders(3) == tuple(i for i in range(7) if pl.cells[i, 3])
+    # The file writer's node lines and holders() both read cells.
+    pl = generate_placement(20, 7, 0.1, seed=4)
+    side = side_sets(pl)
+    assert frozenset() in side  # an empty node line too
+    text = instance_to_text(Instance(placement=pl, workload=FunctionSet(((0, 1),), d=1)))
+    assert [line for line in text.splitlines() if line.startswith("node")] == [
+        " ".join(["node", *map(str, sorted(s))]) for s in side
+    ]
+    assert pl.holders(3) == tuple(i for i, s in enumerate(side) if 3 in s)
 
 
 def test_cells_read_only():

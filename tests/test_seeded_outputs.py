@@ -1,10 +1,11 @@
 """Golden file pinning seeded library and CLI outputs bit for bit.
 
 The rendering below covers random instance files, the Monte Carlo
-estimators, greedy and exact raw-broadcast plans, a ``sweep --compare-fixed`` CSV,
-and best coded plans with the executed transcripts of the raw,
-intermediate and coded plans of small instances.  Any change of internal representation must leave it
-byte-identical.  To inspect the rendering:
+estimators, greedy and exact raw-broadcast plans, a ``sweep
+--compare-fixed`` CSV, and best coded plans with the executed transcripts
+of the raw, intermediate and coded plans of small instances.  Any change
+of internal representation must leave it byte-identical.  To inspect the
+rendering:
 
     PYTHONPATH=src python tests/test_seeded_outputs.py
 """
