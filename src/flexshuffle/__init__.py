@@ -43,9 +43,7 @@ from .coding import (
 from .coverage import (
     Assignment,
     CoverageGraph,
-    MatchingResult,
     build_coverage_graph,
-    max_matching,
     uncovered_count,
 )
 from .engine import (
@@ -56,7 +54,6 @@ from .engine import (
     decode_payload,
     demo_payloads,
     encode_payload,
-    map_phase,
     run_demo,
     run_plan,
 )

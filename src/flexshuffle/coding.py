@@ -23,11 +23,11 @@ from functools import cached_property
 import numpy as np
 
 from . import gf2
-from .coverage import Assignment, build_coverage_graph, max_matching
-from .errors import CapExceeded, Infeasible, InvariantViolation, Outage
+from .coverage import Assignment, build_coverage_graph, hopcroft_karp
+from .errors import CapExceeded, Infeasible, InvariantViolation
 from .gf2 import gf2_rank  # noqa: F401  re-exported as flexshuffle.gf2_rank
 from .instance import Instance
-from .shuffle import missing_messages
+from .shuffle import _check_solvable
 
 
 @dataclass(frozen=True)
@@ -282,16 +282,14 @@ def best_coded_plan(
     reaches it; with two transmissions known, the search for one is a
     closed-form test instead of a completion enumeration.
     """
+    _check_solvable(instance)
     K, n = instance.k, instance.n
-    if K > n:
-        raise Infeasible(f"K={instance.k} functions but only n={instance.n} nodes")
-    missing = missing_messages(instance)
-    if missing:
-        raise Outage(missing)
-    covering = max_matching(build_coverage_graph(instance))
-    if covering.uncovered == 0:
+    graph = build_coverage_graph(instance)
+    match_fn, _, matched = hopcroft_karp(graph.adjacency, n)
+    if matched == K:
         return CodedPlan(
-            count=0, assignment=covering.assignment, broadcasts=(), senders=()
+            count=0, assignment=Assignment(pairs=tuple(enumerate(match_fn))),
+            broadcasts=(), senders=(),
         )
     total = math.perm(n, K)
     if total > assignment_cap:

@@ -62,19 +62,6 @@ class Assignment:
         return len(self.pairs)
 
 
-@dataclass(frozen=True)
-class MatchingResult:
-    assignment: Assignment
-    matched: int
-    uncovered: int
-
-    def __post_init__(self):
-        if self.matched != len(self.assignment.pairs):
-            raise InvariantViolation("matched-count")
-        if self.uncovered < 0:
-            raise InvariantViolation("uncovered-nonnegative")
-
-
 def build_coverage_graph(instance: Instance) -> CoverageGraph:
     """Edge (k, i) present iff node i holds both inputs of function k."""
     K = instance.k
@@ -171,33 +158,19 @@ def augment(adjacency, match_fn: list[int], match_node: list[int]) -> int:
     return gained
 
 
-def hopcroft_karp(adjacency, n_nodes: int) -> dict[int, int]:
-    """Maximum-cardinality matching, returned as {function: node}.
+def hopcroft_karp(adjacency, n_nodes: int) -> tuple[list[int], list[int], int]:
+    """Maximum-cardinality matching from scratch: ``(match_fn, match_node,
+    matched)``, the lists ``augment`` grew and the matching's size.
 
     Adjacency lists must be sorted ascending (see ``augment``).
     """
     match_fn = [_INF] * len(adjacency)
     match_node = [_INF] * n_nodes
-    augment(adjacency, match_fn, match_node)
-    return {k: i for k, i in enumerate(match_fn) if i != _INF}
-
-
-def max_matching(graph: CoverageGraph) -> MatchingResult:
-    """Maximum matching of functions to covering nodes.
-
-    ``uncovered`` is exact: no zero-communication assignment, however
-    chosen, can leave fewer functions uncovered.
-    """
-    matching = hopcroft_karp(graph.adjacency, graph.n_nodes)
-    assignment = Assignment(pairs=tuple(sorted(matching.items())))
-    return MatchingResult(
-        assignment=assignment,
-        matched=len(matching),
-        uncovered=graph.k_functions - len(matching),
-    )
+    matched = augment(adjacency, match_fn, match_node)
+    return match_fn, match_node, matched
 
 
 def uncovered_count(instance: Instance) -> int:
     """Minimum number of functions left uncovered by any flexible assignment."""
     graph = build_coverage_graph(instance)
-    return instance.k - len(hopcroft_karp(graph.adjacency, graph.n_nodes))
+    return instance.k - hopcroft_karp(graph.adjacency, graph.n_nodes)[2]

@@ -1,10 +1,12 @@
 """End-to-end execution: map phase, broadcast shuffle, reduce phase.
 
 Message payloads are friend lists.  The map phase projects each message to
-the intermediate values the functions need (here the identity on the
-friend set), the shuffle phase executes a plan of raw, coded (XOR of raw
-encodings) or intermediate broadcasts, and the reduce phase intersects the
-two friend sets of each function.  Every run is checked against the direct
+the intermediate values the functions need; here that is the identity on
+the friend set, so a node reads its held inputs straight from the
+payloads.  The shuffle phase executes a plan of message broadcasts (the
+XOR of the encodings of one or more messages, raw when there is one) or
+intermediate broadcasts, and the reduce phase intersects the two friend
+sets of each function.  Every run is checked against the direct
 set-intersection oracle in the tests.
 """
 
@@ -107,50 +109,36 @@ def common_friends(payloads: dict[int, MessagePayload], pair) -> tuple[str, ...]
     return tuple(sorted(set(payloads[j1].friends) & set(payloads[j2].friends)))
 
 
-def map_phase(instance: Instance, payloads: dict[int, MessagePayload]):
-    """Intermediate values each node can compute locally.
-
-    Returns {node: {(function, slot): friend tuple}}; the per-input map is
-    the identity on the friend set, so the value for slot s of function k is
-    just the friend list of that input message.
-    """
-    values: dict[int, dict[tuple[int, int], tuple[str, ...]]] = {}
-    for i, held in enumerate(instance.placement.cells.tolist()):
-        mine = {}
-        for k, pair in enumerate(instance.workload.functions):
-            for slot, j in enumerate(pair):
-                if held[j]:
-                    mine[(k, slot)] = payloads[j].friends
-        values[i] = mine
-    return values
-
-
-def raw_transmission(
-    instance: Instance, payloads: dict[int, MessagePayload], sender: int, j: int
-) -> Transmission:
-    width = payload_width(payloads)
-    if not instance.placement.cells[sender].tolist()[j]:
-        raise InvariantViolation("sender-holds-support", f"node {sender} lacks message {j}")
-    return Transmission(
-        sender=sender, kind="raw", support=(j,), data=encode_payload(payloads[j], width)
-    )
-
-
 def coded_transmission(
     instance: Instance, payloads: dict[int, MessagePayload], sender: int, support
 ) -> Transmission:
+    """One broadcast of the XOR of the ``support`` messages' encodings; a
+    one-message support is sent raw."""
+    return _message_transmissions(instance, payloads, [(support, sender)])[0]
+
+
+def _message_transmissions(
+    instance: Instance, payloads: dict[int, MessagePayload], sends
+) -> list[Transmission]:
+    """One broadcast per (support, sender) pair in ``sends``, all at one
+    payload width; only the support's messages are encoded."""
+    if not sends:
+        return []
     width = payload_width(payloads)
-    support = tuple(sorted(support))
-    held = instance.placement.cells[sender].tolist()
-    lacking = {j for j in support if not held[j]}
-    if lacking:
-        raise InvariantViolation("sender-holds-support", f"node {sender} lacks {lacking}")
-    data = 0
-    for j in support:
-        data ^= int.from_bytes(encode_payload(payloads[j], width), "big")
-    return Transmission(
-        sender=sender, kind="coded", support=support, data=data.to_bytes(width, "big")
-    )
+    rows = instance.placement.cells.tolist()
+    out = []
+    for support, sender in sends:
+        support = tuple(sorted(support))
+        lacking = {j for j in support if not rows[sender][j]}
+        if lacking:
+            raise InvariantViolation("sender-holds-support", f"node {sender} lacks {lacking}")
+        data = 0
+        for j in support:
+            data ^= int.from_bytes(encode_payload(payloads[j], width), "big")
+        kind = "raw" if len(support) == 1 else "coded"
+        data = data.to_bytes(width, "big")
+        out.append(Transmission(sender=sender, kind=kind, support=support, data=data))
+    return out
 
 
 def intermediate_transmission(
@@ -175,7 +163,8 @@ def transmissions_from_uncoded_plan(
     instance: Instance, payloads: dict[int, MessagePayload], plan: UncodedPlan
 ) -> list[Transmission]:
     senders = dict(plan.senders)
-    return [raw_transmission(instance, payloads, senders[j], j) for j in plan.broadcast_messages]
+    sends = [((j,), senders[j]) for j in plan.broadcast_messages]
+    return _message_transmissions(instance, payloads, sends)
 
 
 def transmissions_from_intermediate_plan(
@@ -194,20 +183,15 @@ def transmissions_from_intermediate_plan(
 def transmissions_from_coded_plan(
     instance: Instance, payloads: dict[int, MessagePayload], plan
 ) -> list[Transmission]:
-    out = []
-    for support, sender in zip(plan.broadcasts, plan.senders):
-        if len(support) == 1:
-            out.append(raw_transmission(instance, payloads, sender, next(iter(support))))
-        else:
-            out.append(coded_transmission(instance, payloads, sender, support))
-    return out
+    return _message_transmissions(instance, payloads, list(zip(plan.broadcasts, plan.senders)))
 
 
 def _decode_node(held, encoded, transmissions, n_msgs: int, width: int):
     """Messages a node can recover by GF(2) elimination over what it heard.
 
-    Each raw or coded transmission becomes one augmented row: the mask of
-    its messages the node lacks (bits below ``n_msgs``), then provenance
+    Each raw or coded transmission becomes one augmented row: the XOR of
+    the bits of its messages the node lacks (below ``n_msgs``), so a message
+    repeated in the support cancels as its payload does, then provenance
     bits for the transmission and for each local message XORed out of it,
     then the payload.  ``held[j]`` is true when the node holds message j,
     and ``encoded`` maps each held message to its encoding as an int.
@@ -224,7 +208,7 @@ def _decode_node(held, encoded, transmissions, n_msgs: int, width: int):
             if held[j]:
                 row ^= encoded[j] << payload_at | 1 << (local_at + j)
             else:
-                row |= 1 << j
+                row ^= 1 << j
         gf2.insert(basis, row, n_msgs)
     names = [f"tx{t}" for t in range(len(transmissions))] + [f"local{j}" for j in range(n_msgs)]
     decoded = {}
@@ -253,34 +237,33 @@ def run_plan(
     if sorted(k for k, _ in assignment.pairs) != list(range(instance.k)):
         raise InvariantViolation("assignment-total", "every function needs a node")
     width = payload_width(payloads)
-    if any(len(tx.data) != width for tx in transmissions if tx.kind != "intermediate"):
-        raise InvariantViolation("transmission-width", f"raw and coded data must be {width} bytes")
-    encoded = {j: int.from_bytes(encode_payload(p, width), "big") for j, p in payloads.items()}
     transcript = Transcript(transmissions=list(transmissions))
-    values = map_phase(instance, payloads)
+    received: dict[tuple[int, int], int] = {}  # (function, slot) -> intermediate tx index
+    for t, tx in enumerate(transcript.transmissions):
+        if tx.kind == "intermediate":
+            received[tx.support] = t
+        elif len(tx.data) != width:
+            raise InvariantViolation(
+                "transmission-width", f"raw and coded data must be {width} bytes"
+            )
+    encoded = {j: int.from_bytes(encode_payload(p, width), "big") for j, p in payloads.items()}
     rows = instance.placement.cells.tolist()
     failures = []
     results: dict[int, tuple[str, ...]] = {}
-    received = {
-        tx.support: tx
-        for tx in transcript.transmissions
-        if tx.kind == "intermediate"
-    }
     for k, i in assignment.pairs:
         decoded = _decode_node(rows[i], encoded, transcript.transmissions, instance.m, width)
         inputs = []
         for slot, j in enumerate(instance.workload.functions[k]):
-            if (k, slot) in values[i]:
-                inputs.append(values[i][(k, slot)])
+            if rows[i][j]:
+                inputs.append(payloads[j].friends)
             elif j in decoded:
                 payload, via = decoded[j]
                 transcript.decodes.append((i, k, j, via))
                 inputs.append(payload.friends)
             elif (k, slot) in received:
-                tx = received[(k, slot)]
-                t = transcript.transmissions.index(tx)
+                t = received[(k, slot)]
                 transcript.decodes.append((i, k, j, f"tx{t}"))
-                inputs.append(decode_payload(tx.data).friends)
+                inputs.append(decode_payload(transcript.transmissions[t].data).friends)
             else:
                 failures.append((i, k, j))
                 inputs = None
@@ -316,7 +299,7 @@ def demo_payloads() -> dict[int, MessagePayload]:
 def demo_plan(instance: Instance, payloads: dict[int, MessagePayload]) -> list[Transmission]:
     """The two-broadcast plan: node 3 sends message 0 raw and 2 XOR 3 coded."""
     return [
-        raw_transmission(instance, payloads, sender=3, j=0),
+        coded_transmission(instance, payloads, sender=3, support=(0,)),
         coded_transmission(instance, payloads, sender=3, support=(2, 3)),
     ]
 

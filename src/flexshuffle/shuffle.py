@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .coverage import Assignment, augment, build_coverage_graph
+from .coverage import Assignment, augment, build_coverage_graph, hopcroft_karp
 from .errors import BudgetExceeded, Infeasible, InvariantViolation, Outage
 from .instance import Instance
 
@@ -84,15 +84,13 @@ def _merged(nodes, mask: np.ndarray) -> list[int]:
 def _base_matching(instance: Instance):
     """The coverage adjacency as a list, a maximum matching on it as
     ``match_fn``/``match_node`` lists, and the matching's size."""
-    graph = build_coverage_graph(instance)
-    adjacency = list(graph.adjacency)
-    match_fn = [-1] * instance.k
-    match_node = [-1] * instance.n
-    matched = augment(adjacency, match_fn, match_node)
-    return adjacency, match_fn, match_node, matched
+    adjacency = list(build_coverage_graph(instance).adjacency)
+    return adjacency, *hopcroft_karp(adjacency, instance.n)
 
 
 def _check_solvable(instance: Instance) -> None:
+    """Raise Outage when a needed message is held by nobody, else
+    Infeasible when K > n."""
     missing = missing_messages(instance)
     if missing:
         raise Outage(missing)

@@ -33,7 +33,7 @@ from flexshuffle.coding import (
     minrank_gf2,
     optimal_coded_flexible,
 )
-from flexshuffle.coverage import build_coverage_graph, max_matching, uncovered_count
+from flexshuffle.coverage import build_coverage_graph, hopcroft_karp, uncovered_count
 from flexshuffle.engine import (
     common_friends,
     run_demo,
@@ -191,7 +191,7 @@ def test_c08_oracle_equivalence_suite():
     while checked < 200:
         inst = _random_small_instance(rng)
         graph = build_coverage_graph(inst)
-        assert max_matching(graph).matched == brute_max_matching(
+        assert hopcroft_karp(graph.adjacency, graph.n_nodes)[2] == brute_max_matching(
             graph.adjacency, graph.n_nodes
         )
         if missing_messages(inst):

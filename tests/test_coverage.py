@@ -11,7 +11,6 @@ from flexshuffle.coverage import (
     augment,
     build_coverage_graph,
     hopcroft_karp,
-    max_matching,
     uncovered_count,
 )
 from flexshuffle.errors import InvariantViolation
@@ -74,34 +73,40 @@ def test_dense_graph_matches_set_oracle(inst):
 
 
 def test_demo_matching():
-    result = max_matching(build_coverage_graph(demo_instance()))
-    assert result.matched == 0
-    assert result.uncovered == 3
-    assert len(result.assignment) == 0
+    graph = build_coverage_graph(demo_instance())
+    match_fn, match_node, matched = hopcroft_karp(graph.adjacency, graph.n_nodes)
+    assert matched == 0
+    assert match_fn == [-1] * 3
+    assert match_node == [-1] * 4
 
 
 def test_complete_graph_matches_everything():
     graph = CoverageGraph(k_functions=3, n_nodes=4, adjacency=((0, 1, 2, 3),) * 3)
-    result = max_matching(graph)
-    assert result.matched == 3
-    assert result.uncovered == 0
+    match_fn, match_node, matched = hopcroft_karp(graph.adjacency, graph.n_nodes)
+    assert matched == 3
+    assert match_fn == [0, 1, 2]
+    assert match_node == [0, 1, 2, -1]
 
 
 def test_contended_matching():
     graph = CoverageGraph(k_functions=3, n_nodes=3, adjacency=((0, 1), (0, 1), (1,)))
-    result = max_matching(graph)
+    match_fn, _, matched = hopcroft_karp(graph.adjacency, graph.n_nodes)
     assert brute_max_matching(graph.adjacency, 3) == 2
-    assert result.matched == 2
-    assert result.uncovered == 1
+    assert matched == 2
+    assert match_fn.count(-1) == 1
 
 
 def test_matching_edges_are_graph_edges():
     for seed in range(30):
         inst = tiny_instance(seed)
         graph = build_coverage_graph(inst)
-        result = max_matching(graph)
-        for k, i in result.assignment.pairs:
+        match_fn, match_node, matched = hopcroft_karp(graph.adjacency, graph.n_nodes)
+        pairs = [(k, i) for k, i in enumerate(match_fn) if i != -1]
+        assert len(pairs) == matched
+        for k, i in pairs:
             assert i in graph.adjacency[k]
+            assert match_node[i] == k
+        assert sum(k != -1 for k in match_node) == matched
 
 
 def test_uncovered_count_demo():
@@ -137,7 +142,7 @@ def test_matching_equals_brute_force():
         seed += 1
         inst = tiny_instance(seed, m=6, n=6, K=min(4, 6), d=2, p=0.3)
         graph = build_coverage_graph(inst)
-        assert max_matching(graph).matched == brute_max_matching(
+        assert hopcroft_karp(graph.adjacency, graph.n_nodes)[2] == brute_max_matching(
             graph.adjacency, graph.n_nodes
         )
         checked += 1
@@ -212,7 +217,7 @@ def seeded_augment(adjacency, n, initial):
 
 def test_hopcroft_karp_initial_matching_preserved():
     adjacency = ((0, 1), (1, 2), (2,))
-    assert len(hopcroft_karp(adjacency, 3)) == 3
+    assert hopcroft_karp(adjacency, 3) == ([0, 1, 2], [0, 1, 2], 3)
     gained, match_fn, match_node = seeded_augment(adjacency, 3, {0: 0})
     assert gained == 2
     assert match_fn == match_node == [0, 1, 2]
@@ -258,9 +263,10 @@ def test_hopcroft_karp_long_augmenting_path():
     # augmenting path runs through every function: no recursion may follow it.
     K = 10_000
     adjacency = tuple((k, k + 1) for k in range(K - 1)) + ((0,),)
-    matching = hopcroft_karp(adjacency, K)
-    assert len(matching) == K
-    assert matching[K - 1] == 0
+    match_fn, match_node, matched = hopcroft_karp(adjacency, K)
+    assert matched == K
+    assert match_fn[K - 1] == 0
+    assert match_node[0] == K - 1
 
 
 def test_assignment_rejects_non_injective():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flexshuffle.coding import best_coded_plan
-from flexshuffle.coverage import build_coverage_graph, max_matching
+from flexshuffle.coverage import Assignment, build_coverage_graph, hopcroft_karp
 from flexshuffle.engine import (
     MessagePayload,
     coded_transmission,
@@ -16,8 +16,6 @@ from flexshuffle.engine import (
     demo_plan,
     encode_payload,
     intermediate_transmission,
-    map_phase,
-    raw_transmission,
     run_demo,
     run_plan,
     transmissions_from_coded_plan,
@@ -63,16 +61,28 @@ def test_oracle_values():
     assert common_friends(payloads, (3, 4)) == ("B", "F")
 
 
-def test_map_phase_demo():
+def lacked_inputs(inst, assignment):
+    """(node, function, message) for every input an assigned node lacks."""
+    rows = inst.placement.cells.tolist()
+    return sorted(
+        (i, k, j) for k, i in assignment.pairs for j in inst.workload.functions[k] if not rows[i][j]
+    )
+
+
+def decoded_inputs(transcript):
+    return sorted((i, k, j) for i, k, j, _ in transcript.decodes)
+
+
+def test_run_plan_reads_held_inputs_demo():
     inst = demo_instance()
-    values = map_phase(inst, demo_payloads())
-    # node 0 holds A, C, E: slots it can serve are (f0 slot 0)=A,
-    # (f1 slot 1)=C, (f2 slot 1)=E
-    assert set(values[0]) == {(0, 0), (1, 1), (2, 1)}
-    assert values[0][(0, 0)] == ("B", "C", "D")
+    transcript = run_demo()
+    # A node reads the inputs it holds from its placement row and decodes
+    # only the rest: node 0 holds A, C, E and runs {D,E}, so it decodes D.
+    assert decoded_inputs(transcript) == lacked_inputs(inst, demo_assignment())
+    assert [(k, j) for i, k, j, _ in transcript.decodes if i == 0] == [(2, 3)]
 
 
-def test_map_phase_empty_side_info():
+def test_run_plan_empty_side_info():
     from flexshuffle.instance import FunctionSet, Placement
 
     inst = Instance(
@@ -83,9 +93,40 @@ def test_map_phase_empty_side_info():
         0: MessagePayload(owner="A", friends=("B",)),
         1: MessagePayload(owner="B", friends=("A",)),
     }
-    values = map_phase(inst, payloads)
-    assert values[0] == {}
-    assert set(values[1]) == {(0, 0), (0, 1)}
+    # node 1 holds both inputs and needs nothing; node 0 holds nothing and
+    # decodes both from node 1's broadcasts
+    on_node_1 = Assignment(pairs=((0, 1),))
+    transcript = run_plan(inst, payloads, [], on_node_1)
+    assert transcript.decodes == []
+    assert transcript.outputs == {0: ()}
+    on_node_0 = Assignment(pairs=((0, 0),))
+    broadcasts = [coded_transmission(inst, payloads, 1, (j,)) for j in (0, 1)]
+    transcript = run_plan(inst, payloads, broadcasts, on_node_0)
+    assert decoded_inputs(transcript) == lacked_inputs(inst, on_node_0) == [(0, 0, 0), (0, 0, 1)]
+    assert transcript.outputs == {0: ()}
+
+
+def test_repeated_support_message_cancels():
+    # 2 XOR 2 carries all zeros, so node 1 cannot recover message 2 from it.
+    inst = demo_instance()
+    payloads = demo_payloads()
+    transmissions = [
+        coded_transmission(inst, payloads, 3, (0,)),
+        coded_transmission(inst, payloads, 3, [2, 2]),
+        coded_transmission(inst, payloads, 3, (3,)),
+    ]
+    with pytest.raises(DecodeFailure) as err:
+        run_plan(inst, payloads, transmissions, demo_assignment())
+    assert err.value.failures == ((1, 1, 2),)
+
+
+def test_one_message_support_is_raw():
+    inst = demo_instance()
+    payloads = demo_payloads()
+    tx = coded_transmission(inst, payloads, 3, (0,))
+    assert (tx.kind, tx.support) == ("raw", (0,))
+    assert tx.data == encode_payload(payloads[0], len(tx.data))
+    assert decode_payload(tx.data) == payloads[0]
 
 
 def test_run_demo_success():
@@ -112,8 +153,10 @@ def test_empty_plan_on_covered_instance():
         workload=generate_functions(6, 3, 2, seed=1),
     )
     payloads = demo_payloads()
-    result = max_matching(build_coverage_graph(inst))
-    transcript = run_plan(inst, payloads, [], result.assignment)
+    graph = build_coverage_graph(inst)
+    match_fn, _, matched = hopcroft_karp(graph.adjacency, graph.n_nodes)
+    assert matched == inst.k
+    transcript = run_plan(inst, payloads, [], Assignment(pairs=tuple(enumerate(match_fn))))
     assert transcript.decodes == []
     for k, pair in enumerate(inst.workload.functions):
         assert transcript.outputs[k] == common_friends(payloads, pair)
@@ -123,7 +166,7 @@ def test_sender_must_hold_support():
     inst = demo_instance()
     payloads = demo_payloads()
     with pytest.raises(InvariantViolation):
-        raw_transmission(inst, payloads, sender=0, j=1)  # node 0 lacks B
+        coded_transmission(inst, payloads, sender=0, support=(1,))  # node 0 lacks B
     with pytest.raises(InvariantViolation):
         coded_transmission(inst, payloads, sender=0, support=(0, 1))
     with pytest.raises(InvariantViolation):

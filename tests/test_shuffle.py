@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from oracles import brute_min_intermediate, brute_min_raw_broadcasts, side_sets
 from test_coverage import small_instances
 
+from flexshuffle.coding import best_coded_plan
 from flexshuffle.coverage import uncovered_count
 from flexshuffle.errors import BudgetExceeded, Infeasible, Outage
 from flexshuffle.instance import (
@@ -90,6 +91,21 @@ def test_exact_infeasible_when_more_functions_than_nodes():
         min_raw_broadcasts(inst)
 
 
+@pytest.mark.parametrize(
+    "solver",
+    [min_raw_broadcasts, greedy_raw_broadcasts, min_intermediate_broadcasts, best_coded_plan],
+)
+def test_outage_is_reported_before_k_exceeds_n(solver):
+    # three functions on two nodes, and nobody holds message 5
+    inst = Instance(
+        placement=Placement.from_sets(m=6, n=2, side_info=(frozenset(range(5)),) * 2),
+        workload=FunctionSet(functions=((0, 1), (2, 3), (4, 5)), d=1),
+    )
+    with pytest.raises(Outage) as err:
+        solver(inst)
+    assert err.value.missing == (5,)
+
+
 def test_senders_hold_their_message():
     for seed in range(40):
         inst = tiny_instance(seed)
@@ -148,7 +164,7 @@ def test_exact_matches_subset_oracle():
 def test_greedy_bounds():
     # d caps how many functions read one message, so a broadcast can add
     # edges at up to d functions.
-    from flexshuffle.coverage import build_coverage_graph, max_matching
+    from flexshuffle.coverage import build_coverage_graph, hopcroft_karp
 
     for d in (1, 2, 3, 4):
         checked = 0
@@ -160,8 +176,9 @@ def test_greedy_bounds():
             greedy = greedy_raw_broadcasts(inst)
             assert exact.size <= greedy.size
             # never more than the distinct messages the uncovered functions demand
-            result = max_matching(build_coverage_graph(inst))
-            unmatched = set(range(inst.k)) - {k for k, _ in result.assignment.pairs}
+            graph = build_coverage_graph(inst)
+            match_fn, _, _ = hopcroft_karp(graph.adjacency, graph.n_nodes)
+            unmatched = {k for k, i in enumerate(match_fn) if i == -1}
             demanded = {j for k in unmatched for j in inst.workload.functions[k]}
             assert greedy.size <= len(demanded)
             checked += 1
