@@ -106,20 +106,6 @@ def test_run_plan_empty_side_info():
     assert transcript.outputs == {0: ()}
 
 
-def test_repeated_support_message_cancels():
-    # 2 XOR 2 carries all zeros, so node 1 cannot recover message 2 from it.
-    inst = demo_instance()
-    payloads = demo_payloads()
-    transmissions = [
-        coded_transmission(inst, payloads, 3, (0,)),
-        coded_transmission(inst, payloads, 3, [2, 2]),
-        coded_transmission(inst, payloads, 3, (3,)),
-    ]
-    with pytest.raises(DecodeFailure) as err:
-        run_plan(inst, payloads, transmissions, demo_assignment())
-    assert err.value.failures == ((1, 1, 2),)
-
-
 def test_one_message_support_is_raw():
     inst = demo_instance()
     payloads = demo_payloads()
