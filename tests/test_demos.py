@@ -1,8 +1,9 @@
-"""Golden file pinning the printed output of two demo scripts.
+"""Golden file pinning the printed output of three demo scripts.
 
 ``demos/common_friends.py`` and ``demos/coded_vs_uncoded.py`` between them
-run the coverage graph, all four solvers and the engine, so any change of
-internal representation must leave their output byte-identical.  To
+run the coverage graph, all four solvers and the engine, and
+``demos/percolation_curve.py`` runs greedy on 1,350 sweep trials, so any
+change of internal representation must leave their output byte-identical.  To
 inspect the rendering:
 
     PYTHONPATH=src python tests/test_demos.py
@@ -18,7 +19,7 @@ from pathlib import Path
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 GOLDEN = Path(__file__).parent / "data" / "demos.golden"
-SCRIPTS = ("common_friends.py", "coded_vs_uncoded.py")
+SCRIPTS = ("common_friends.py", "coded_vs_uncoded.py", "percolation_curve.py")
 
 
 def render() -> str:
