@@ -23,11 +23,11 @@ from functools import cached_property
 import numpy as np
 
 from . import gf2
-from .coverage import Assignment, build_coverage_graph, hopcroft_karp
+from .coverage import Assignment
 from .errors import CapExceeded, Infeasible, InvariantViolation
 from .gf2 import gf2_rank  # noqa: F401  re-exported as flexshuffle.gf2_rank
 from .instance import Instance
-from .shuffle import _check_solvable
+from .shuffle import _base_matching, _check_solvable
 
 
 @dataclass(frozen=True)
@@ -284,8 +284,7 @@ def best_coded_plan(
     """
     _check_solvable(instance)
     K, n = instance.k, instance.n
-    graph = build_coverage_graph(instance)
-    match_fn, _, matched = hopcroft_karp(graph.adjacency, n)
+    _, match_fn, _, matched = _base_matching(instance)
     if matched == K:
         return CodedPlan(
             count=0, assignment=Assignment(pairs=tuple(enumerate(match_fn))),

@@ -186,17 +186,20 @@ def transmissions_from_coded_plan(
     return _message_transmissions(instance, payloads, list(zip(plan.broadcasts, plan.senders)))
 
 
-def _decode_node(held, encoded, transmissions, n_msgs: int, width: int):
+def _decode_node(held, encoded, transmissions, names, width: int):
     """Messages a node can recover by GF(2) elimination over what it heard.
 
     Each raw or coded transmission becomes one augmented row: the XOR of
-    the bits of its messages the node lacks (below ``n_msgs``), so a message
-    repeated in the support cancels as its payload does, then provenance
-    bits for the transmission and for each local message XORed out of it,
-    then the payload.  ``held[j]`` is true when the node holds message j,
-    and ``encoded`` maps each held message to its encoding as an int.
+    the bits of its messages the node lacks (one bit per message), so a
+    message repeated in the support cancels as its payload does, then
+    provenance bits for the transmission and for each local message XORed
+    out of it, then the payload.  ``held[j]`` is true when the node holds
+    message j, ``encoded`` maps each held message to its encoding as an
+    int, and ``names[b]`` names provenance bit b: ``tx{t}`` for each
+    transmission, then ``local{j}`` for each message.
     Returns {message: (payload, provenance string)}.
     """
+    n_msgs = len(held)
     local_at = n_msgs + len(transmissions)
     payload_at = local_at + n_msgs
     basis: dict[int, int] = {}
@@ -210,14 +213,17 @@ def _decode_node(held, encoded, transmissions, n_msgs: int, width: int):
             else:
                 row ^= 1 << j
         gf2.insert(basis, row, n_msgs)
-    names = [f"tx{t}" for t in range(len(transmissions))] + [f"local{j}" for j in range(n_msgs)]
     decoded = {}
     for pivot, row in basis.items():
         if row & ((1 << n_msgs) - 1) == pivot:
-            prov = row >> n_msgs
-            via = sorted(name for b, name in enumerate(names) if prov >> b & 1)
+            prov = row >> n_msgs & ((1 << len(names)) - 1)
+            via = []
+            while prov:
+                low = prov & -prov
+                via.append(names[low.bit_length() - 1])
+                prov ^= low
             data = (row >> payload_at).to_bytes(width, "big")
-            decoded[pivot.bit_length() - 1] = (decode_payload(data), "+".join(via))
+            decoded[pivot.bit_length() - 1] = (decode_payload(data), "+".join(sorted(via)))
     return decoded
 
 
@@ -248,10 +254,12 @@ def run_plan(
             )
     encoded = {j: int.from_bytes(encode_payload(p, width), "big") for j, p in payloads.items()}
     rows = instance.placement.cells.tolist()
+    names = [f"tx{t}" for t in range(len(transmissions))]
+    names += [f"local{j}" for j in range(instance.m)]
     failures = []
     results: dict[int, tuple[str, ...]] = {}
     for k, i in assignment.pairs:
-        decoded = _decode_node(rows[i], encoded, transcript.transmissions, instance.m, width)
+        decoded = _decode_node(rows[i], encoded, transcript.transmissions, names, width)
         inputs = []
         for slot, j in enumerate(instance.workload.functions[k]):
             if rows[i][j]:

@@ -52,33 +52,59 @@ def missing_messages(instance: Instance) -> tuple[int, ...]:
     return tuple(j for j in sorted(instance.workload.used_messages()) if not held[j])
 
 
-def _missing_counts(instance: Instance) -> np.ndarray:
-    """counts[k, i]: how many of function k's inputs node i lacks (0-2)."""
-    lacks = ~instance.placement.cells
-    j1, j2 = instance.workload.inputs.T
-    return (lacks[:, j1].astype(np.int64) + lacks[:, j2]).T
+def _lacks(instance: Instance) -> np.ndarray:
+    """lacks[k, s, i]: node i lacks input s of function k, a (K, 2, n) array."""
+    return (~instance.placement.cells.T)[instance.workload.inputs]
 
 
 def _input_tables(instance: Instance):
-    """The (K, 2, n) tables both raw solvers search.
-
-    ``lacks[k, s, i]``: node i lacks input s of function k.
-    ``edges[k, s]``: the nodes lacking only that input, which broadcasting
-    it would cover.  ``users[j]``: the (function, slot) pairs reading
-    message j, at most d.
+    """The tables both raw solvers search: ``lacks``, which greedy updates;
+    ``nodes[k][s]``, for s = 0, 1 the nodes lacking only that input, which
+    broadcasting it would cover, and for s = -1 those lacking either, None
+    until ``_gains`` first reads it; ``users[j]``, the (function, slot)
+    pairs reading message j, at most d.
     """
-    lacks = (~instance.placement.cells.T)[instance.workload.inputs]
+    lacks = _lacks(instance)
     edges = lacks & ~lacks[:, ::-1]
+    flat = np.nonzero(edges)[2].tolist()
+    cuts = [0, *edges.sum(axis=2).cumsum().tolist()]
+    lists = [flat[a:b] for a, b in zip(cuts, cuts[1:])]
+    nodes = [[*pair, None] for pair in zip(lists[::2], lists[1::2])]
     users: dict[int, list[tuple[int, int]]] = {}
     for k, pair in enumerate(instance.workload.functions):
         for s, j in enumerate(pair):
             users.setdefault(j, []).append((k, s))
-    return lacks, edges, users
+    return lacks, nodes, users
 
 
-def _merged(nodes, mask: np.ndarray) -> list[int]:
-    """``nodes`` plus the nodes set in the boolean ``mask``, ascending."""
-    return sorted([*nodes, *np.flatnonzero(mask).tolist()])
+def _gains(combo, lacks, nodes, users) -> list[tuple[int, list[int]]]:
+    """The (function, nodes) pairs that gain a covering edge when every
+    message in ``combo`` is broadcast, omitting functions that gain none.
+
+    A node gains an edge at function k when the combo holds every input it
+    lacks: slot s when only that input is in the combo, -1 for both.
+    """
+    slots: dict[int, int] = {}
+    for j in combo:
+        for k, s in users[j]:
+            slots[k] = -1 if k in slots else s
+    gains = []
+    for k, s in slots.items():
+        got = nodes[k][s]
+        if got is None:
+            row = lacks[k, 0] | lacks[k, 1] if s < 0 else lacks[k, s] & ~lacks[k, 1 - s]
+            got = nodes[k][s] = np.flatnonzero(row).tolist()
+        if got:
+            gains.append((k, got))
+    return gains
+
+
+def _grown(adjacency, gains) -> list:
+    """A copy of ``adjacency`` with each gained function's nodes merged in."""
+    trial = list(adjacency)
+    for k, got in gains:
+        trial[k] = sorted([*adjacency[k], *got])
+    return trial
 
 
 def _base_matching(instance: Instance):
@@ -124,41 +150,18 @@ def min_raw_broadcasts(instance: Instance, budget: int = 8) -> UncodedPlan:
     adjacency, match_fn, match_node, matched = _base_matching(instance)
     if matched == K:
         return _plan(instance, (), match_fn)
-    lacks, edges, users = _input_tables(instance)
-    # single[k][s]: the nodes a broadcast of input s alone adds to
-    # function k; both[k]: those it gains when both inputs are broadcast,
-    # built on first use.
-    single = [[np.flatnonzero(row).tolist() for row in e] for e in edges]
-    both: dict[int, list[int]] = {}
+    lacks, nodes, users = _input_tables(instance)
     held_by_all = instance.placement.cells.all(axis=0).tolist()
     candidates = sorted(j for j in users if not held_by_all[j])
     for size in range(1, min(budget, len(candidates)) + 1):
         for combo in itertools.combinations(candidates, size):
-            # A node gains an edge at k when the combo holds every input it
-            # lacks: slot s when only that input is in the combo, -1 for both.
-            slots: dict[int, int] = {}
-            for j in combo:
-                for k, s in users[j]:
-                    slots[k] = -1 if k in slots else s
-            gains = []
-            for k, s in slots.items():
-                if s >= 0:
-                    nodes = single[k][s]
-                else:
-                    nodes = both.get(k)
-                    if nodes is None:
-                        nodes = both[k] = np.flatnonzero(lacks[k, 0] | lacks[k, 1]).tolist()
-                if nodes:
-                    gains.append((k, nodes))
+            gains = _gains(combo, lacks, nodes, users)
             # Each missing function needs its own augmenting path, and each
             # path a new edge at a function of its own (see greedy).
             if len(gains) < K - matched:
                 continue
-            trial = list(adjacency)
-            for k, nodes in gains:
-                trial[k] = sorted([*adjacency[k], *nodes])
             trial_fn = match_fn.copy()
-            gained = augment(trial, trial_fn, match_node.copy())
+            gained = augment(_grown(adjacency, gains), trial_fn, match_node.copy())
             if matched + gained == K:
                 return _plan(instance, combo, trial_fn)
     raise BudgetExceeded(budget)
@@ -197,24 +200,19 @@ def _greedy(instance: Instance, adjacency, match_fn, match_node, matched) -> Unc
     if matched == K:
         return _plan(instance, (), match_fn)
     functions = instance.workload.functions
-    lacks, edges, users = _input_tables(instance)
-    has_edge = edges.any(axis=2).tolist()
+    lacks, nodes, users = _input_tables(instance)
     broadcast: set[int] = set()
     while matched < K:
-        unmatched = [k for k in range(K) if match_fn[k] == -1]
-        pool = sorted({j for k in unmatched for j in functions[k]} - broadcast)
+        pool = sorted({j for k in range(K) if match_fn[k] == -1 for j in functions[k]} - broadcast)
         best_gain, best_j = -1, None
         for j in pool:
-            sources = [(k, s) for k, s in users[j] if has_edge[k][s]]
+            gains = _gains((j,), lacks, nodes, users)
             # The new augmenting paths are vertex-disjoint and each uses a
             # new edge, so the gain is at most the number of functions
             # with one; a candidate that cannot beat the best is not scored.
-            if len(sources) <= best_gain:
+            if len(gains) <= best_gain:
                 continue
-            trial = list(adjacency)
-            for k, s in sources:
-                trial[k] = _merged(adjacency[k], edges[k, s])
-            gain = augment(trial, match_fn.copy(), match_node.copy())
+            gain = augment(_grown(adjacency, gains), match_fn.copy(), match_node.copy())
             if gain > best_gain:
                 best_gain, best_j = gain, j
                 # No gain exceeds K - matched and only a strictly larger
@@ -223,12 +221,12 @@ def _greedy(instance: Instance, adjacency, match_fn, match_node, matched) -> Unc
                     break
         broadcast.add(best_j)
         # Only the functions reading best_j change: its edges join the
-        # graph, and every node now has that input.
+        # graph, every node now has that input, and their node lists
+        # refill from the new lack rows when next read.
+        adjacency = _grown(adjacency, _gains((best_j,), lacks, nodes, users))
         for k, s in users[best_j]:
-            adjacency[k] = _merged(adjacency[k], edges[k, s])
             lacks[k, s] = False
-            edges[k] = lacks[k] & ~lacks[k, ::-1]
-            has_edge[k] = edges[k].any(axis=1).tolist()
+            nodes[k] = [None, None, None]
         matched += augment(adjacency, match_fn, match_node)
     return _plan(instance, tuple(sorted(broadcast)), match_fn)
 
@@ -244,7 +242,7 @@ def min_intermediate_broadcasts(instance: Instance) -> IntermediatePlan:
     _check_solvable(instance)
     if instance.k == 0:
         return IntermediatePlan(assignment=Assignment(pairs=()), cost_per_function=(), total=0)
-    cost = _missing_counts(instance)
+    cost = _lacks(instance).sum(axis=1)
     rows, cols = linear_sum_assignment(cost)
     pairs = tuple(sorted((int(k), int(i)) for k, i in zip(rows, cols)))
     per_function = tuple(int(cost[k, i]) for k, i in pairs)

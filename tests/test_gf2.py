@@ -90,7 +90,8 @@ def test_decoder_recovers_exactly_the_span(case):
         transmissions.append(Transmission(sender=0, kind="coded", support=support, data=data))
     encoded = {j: int.from_bytes(b, "big") for j, b in raw.items()}
     held = [j in side for j in range(m)]
-    decoded = _decode_node(held, encoded, transmissions, m, width)
+    names = [f"tx{t}" for t in range(len(transmissions))] + [f"local{j}" for j in range(m)]
+    decoded = _decode_node(held, encoded, transmissions, names, width)
 
     heard = [reduce(int.__xor__, (1 << j for j in s if j not in side), 0) for s in supports]
     rank = rank_gf2(bit_lists(heard, m), m)
