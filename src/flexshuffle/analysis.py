@@ -241,6 +241,8 @@ def mc_fixed_uncoded(K, p, trials, seed) -> MeanEstimate:
 def fixed_assignment_nodes(K: int, n: int, nodes_per_function: int) -> tuple[tuple[int, ...], ...]:
     """Disjoint pre-placed node groups, function k -> nodes k*C .. k*C+C-1."""
     C = nodes_per_function
+    if C < 1:
+        raise ValueError(f"need at least one node per function, got {C}")
     if K * C > n:
         raise ValueError(f"need K*C={K * C} distinct nodes, have n={n}")
     return tuple(tuple(k * C + o for o in range(C)) for k in range(K))

@@ -12,6 +12,7 @@ constants, never the clock) and exits with a documented code:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -123,14 +124,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse ``argv`` with the ``--config`` file's values as the command's
+    flag defaults.  Each value the command knows is checked as its flag's
+    argument would be; keys no command knows are ignored."""
     probe, _ = parser.parse_known_args(argv)
     if getattr(probe, "config", None):
         with open(probe.config, "r", encoding="utf-8") as fh:
             defaults = json.load(fh)
-        for action in parser._subparsers._group_actions[0].choices.values():
-            known = {a.dest for a in action._actions}
-            action.set_defaults(**{k: v for k, v in defaults.items() if k in known})
+        command = parser._subparsers._group_actions[0].choices[probe.command]
+        for action in command._actions:
+            if action.dest in defaults:
+                value = _config_value(parser, action, defaults[action.dest])
+                command.set_defaults(**{action.dest: value})
     return parser.parse_args(argv)
+
+
+def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, value):
+    """``value`` from the config file, converted by the flag's ``type`` and
+    held to its ``choices`` as the command line would; a store_true flag
+    takes only a JSON boolean.  Exits 2 naming the key otherwise."""
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return value
+    elif isinstance(value, (str, int, float)):
+        with contextlib.suppress(TypeError, ValueError):
+            converted = (action.type or str)(str(value))
+            if action.choices is None or converted in action.choices:
+                return converted
+    parser.error(f"--config: invalid value {value!r} for {action.dest!r}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -201,6 +222,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.trials < 1 or args.fixed_nodes_per_function < 1:
+        print("sweep: parameters out of range", file=sys.stderr)
+        return EXIT_USAGE
     try:
         p_values = [float(tok) for tok in args.p_values.split(",") if tok]
     except ValueError:

@@ -202,6 +202,12 @@ def test_fixed_assignment_nodes_disjoint():
         fixed_assignment_nodes(K=5, n=8, nodes_per_function=2)
 
 
+@pytest.mark.parametrize("nodes_per_function", [0, -1])
+def test_fixed_assignment_nodes_needs_one_node_per_function(nodes_per_function):
+    with pytest.raises(ValueError):
+        fixed_assignment_nodes(K=4, n=12, nodes_per_function=nodes_per_function)
+
+
 def test_mc_fixed_no_shuffle_below_flexible():
     args = dict(m=24, n=12, K=5, d=2, p=0.6, trials=150, seed=21)
     fixed = mc_fixed_no_shuffle(**args)

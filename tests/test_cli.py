@@ -240,3 +240,44 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert code == cli.EXIT_OK
     assert load_instance(out2).k == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("budget", 8.5), ("budget", True), ("skip_coded", "false"), ("format", "xml")],
+)
+def test_config_values_are_checked_like_flags(tmp_path, capsys, key, value):
+    inst = tmp_path / "inst.txt"
+    args = ["gen", "--m", "40", "--n", "20", "--K", "10", "--p", "0.3", "--seed", "7"]
+    assert cli.main(args + ["--out", str(inst)]) == cli.EXIT_OK
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(config), "solve", str(inst)])
+    captured = capsys.readouterr()
+    assert exc.value.code == cli.EXIT_USAGE
+    assert repr(key) in captured.err
+    assert captured.out == ""
+
+
+def test_config_values_convert_like_flags(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"budget": "1", "skip_coded": True, "format": "json",
+                                  "unknown_key": [1]}))
+    code, out, _ = run(capsys, "--config", str(config), "solve", str(demo_file(tmp_path)))
+    assert code == cli.EXIT_OK
+    report = json.loads(out)
+    assert "coded_broadcasts" not in report
+    assert report["raw_solver"] == "greedy"  # the demo needs two broadcasts
+
+
+@pytest.mark.parametrize(
+    "extra", [["--trials", "0"], ["--compare-fixed", "--fixed-nodes-per-function", "0"],
+              ["--compare-fixed", "--fixed-nodes-per-function", "-1"]],
+)
+def test_sweep_rejects_out_of_range_counts(capsys, extra):
+    args = ["sweep", "--m", "10", "--n", "8", "--K", "3", "--p-values", "0.5", "--trials", "5"]
+    code, out, err = run(capsys, *args, *extra)
+    assert code == cli.EXIT_USAGE
+    assert "parameters out of range" in err
+    assert out == ""
