@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     """Parse ``argv`` with the ``--config`` file's values as the command's
     flag defaults.  Each value the command knows is checked as its flag's
-    argument would be; keys no command knows are ignored."""
+    argument would be; keys the command does not know are ignored."""
     probe, _ = parser.parse_known_args(argv)
     if getattr(probe, "config", None):
         with open(probe.config, "r", encoding="utf-8") as fh:

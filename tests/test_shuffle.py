@@ -1,6 +1,7 @@
 import oracles
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import brute_min_intermediate, brute_min_raw_broadcasts, side_sets
 from test_coverage import small_instances
 
@@ -16,6 +17,8 @@ from flexshuffle.instance import (
     generate_placement,
 )
 from flexshuffle.shuffle import (
+    _gains,
+    _input_tables,
     greedy_raw_broadcasts,
     min_intermediate_broadcasts,
     min_raw_broadcasts,
@@ -46,6 +49,33 @@ def outage_instance():
 @given(small_instances())
 def test_missing_messages_matches_set_union(inst):
     assert missing_messages(inst) == oracles.missing_messages(inst)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_instances(), st.data())
+def test_gains_match_set_oracle(inst, data):
+    # The node lists behind _gains, built up front, filled on first read,
+    # or dropped and refilled after greedy's update for a broadcast, name
+    # exactly the nodes whose every missing input the broadcast set holds.
+    lacks, nodes, users = _input_tables(inst)
+    messages = sorted(users)
+    side = [set(s) for s in side_sets(inst.placement)]
+    pick = st.lists(st.sampled_from(messages), unique=True, max_size=3) if messages else st.just([])
+    for j in data.draw(pick):
+        for k, s in users[j]:
+            lacks[k, s] = False
+            nodes[k] = [None, None, None]
+        for held in side:
+            held.add(j)
+    for _ in range(3):
+        combo = data.draw(pick)
+        expected = {}
+        for k, pair in enumerate(inst.workload.functions):
+            missing = [set(pair) - held for held in side]
+            got = [i for i, miss in enumerate(missing) if miss and miss <= set(combo)]
+            if got:
+                expected[k] = got
+        assert dict(_gains(combo, lacks, nodes, users)) == expected
 
 
 def test_demo_exact_is_two():
