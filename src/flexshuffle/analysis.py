@@ -14,8 +14,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .coverage import uncovered_count
+from .errors import Outage
 from .instance import Instance, derive_seeds, generate_placement, random_instance
-from .shuffle import _uncovered_and_greedy
+from .shuffle import greedy_raw_broadcasts
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -282,28 +283,19 @@ class SweepPoint:
     p: float
     trials: int
     seed: int
-    no_shuffle_fraction: float
-    no_shuffle_halfwidth: float
-    mean_uncovered: float
-    mean_uncovered_halfwidth: float
-    mean_tun_greedy: float
-    mean_tun_greedy_halfwidth: float
-    outage_fraction: float
-    outage_halfwidth: float
-    fixed_no_shuffle_fraction: float
-    fixed_no_shuffle_halfwidth: float
-    fixed_mean_uncoded: float
-    fixed_mean_uncoded_halfwidth: float
-    error: str
-
-
-# Every float column, in field order (annotations are strings here).
-_FLOAT_COLUMNS = tuple(f.name for f in fields(SweepPoint) if f.type == "float")
-
-
-def _point(**columns) -> SweepPoint:
-    """A SweepPoint holding NaN in every float column not given."""
-    return SweepPoint(**{**dict.fromkeys(_FLOAT_COLUMNS, math.nan), **columns})
+    no_shuffle_fraction: float = math.nan
+    no_shuffle_halfwidth: float = math.nan
+    mean_uncovered: float = math.nan
+    mean_uncovered_halfwidth: float = math.nan
+    mean_tun_greedy: float = math.nan
+    mean_tun_greedy_halfwidth: float = math.nan
+    outage_fraction: float = math.nan
+    outage_halfwidth: float = math.nan
+    fixed_no_shuffle_fraction: float = math.nan
+    fixed_no_shuffle_halfwidth: float = math.nan
+    fixed_mean_uncoded: float = math.nan
+    fixed_mean_uncoded_halfwidth: float = math.nan
+    error: str = ""
 
 
 def sweep(
@@ -332,7 +324,7 @@ def sweep(
                     m, n, K, d, p, trials, point_seed, compare_fixed, nodes_per_function
                 )
             except Exception as exc:  # recorded, sweep continues
-                point = _point(
+                point = SweepPoint(
                     m=m, n=n, K=K, d=d, p=p, trials=trials, seed=point_seed,
                     error=f"{type(exc).__name__}: {exc}",
                 )
@@ -348,16 +340,20 @@ def _sweep_point(
     )
 
     def trial(t):
+        """Y, the greedy plan size (None on outage) and fixed coverage."""
         inst = random_instance(m, n, K, d, p, point_seed, t)
-        y, greedy = _uncovered_and_greedy(inst)
         covered_fixed = _fixed_covered(inst, groups) if groups else False
-        return y, greedy, greedy is None, covered_fixed
+        try:
+            plan = greedy_raw_broadcasts(inst)
+        except Outage:
+            return uncovered_count(inst), None, covered_fixed
+        return plan.uncovered, plan.size, covered_fixed
 
     rows = [trial(t) for t in range(trials)]
     ys = [r[0] for r in rows]
     greedy_sizes = [r[1] for r in rows if r[1] is not None]
     no_shuffle = _proportion(sum(1 for y in ys if y == 0), trials)
-    outage = _proportion(sum(1 for r in rows if r[2]), trials)
+    outage = _proportion(trials - len(greedy_sizes), trials)
     mean_y = _mean(ys)
     columns = dict(
         m=m, n=n, K=K, d=d, p=p, trials=trials, seed=point_seed,
@@ -367,7 +363,6 @@ def _sweep_point(
         mean_uncovered_halfwidth=mean_y.halfwidth,
         outage_fraction=outage.fraction,
         outage_halfwidth=outage.halfwidth,
-        error="",
     )
     if greedy_sizes:
         mean_greedy = _mean(greedy_sizes)
@@ -376,7 +371,7 @@ def _sweep_point(
             mean_tun_greedy_halfwidth=mean_greedy.halfwidth,
         )
     if compare_fixed:
-        fixed_cov = _proportion(sum(1 for r in rows if r[3]), trials)
+        fixed_cov = _proportion(sum(1 for r in rows if r[2]), trials)
         fixed_tx = mc_fixed_uncoded(K, p, trials, point_seed)
         columns.update(
             fixed_no_shuffle_fraction=fixed_cov.fraction,
@@ -384,7 +379,7 @@ def _sweep_point(
             fixed_mean_uncoded=fixed_tx.mean,
             fixed_mean_uncoded_halfwidth=fixed_tx.halfwidth,
         )
-    return _point(**columns)
+    return SweepPoint(**columns)
 
 
 CSV_SCHEMA_VERSION = 1

@@ -14,9 +14,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 
-from . import analysis, coding, coverage, engine, shuffle
+from . import analysis, coding, engine, shuffle
 from .errors import (
     BudgetExceeded,
     CapExceeded,
@@ -126,16 +127,26 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     """Parse ``argv`` with the ``--config`` file's values as the command's
     flag defaults.  Each value the command knows is checked as its flag's
-    argument would be; keys the command does not know are ignored."""
+    argument would be, and a flag the file supplies is no longer required;
+    keys the command does not know are ignored."""
+    commands = parser._subparsers._group_actions[0].choices
+    required = [a for cmd in commands.values() for a in cmd._actions if a.required]
+    # The probe only finds the command and the file, so it must not demand
+    # flags the file may supply.
+    for action in required:
+        action.required = False
     probe, _ = parser.parse_known_args(argv)
-    if getattr(probe, "config", None):
+    defaults = {}
+    if probe.config:
         with open(probe.config, "r", encoding="utf-8") as fh:
             defaults = json.load(fh)
-        command = parser._subparsers._group_actions[0].choices[probe.command]
+        command = commands[probe.command]
         for action in command._actions:
             if action.dest in defaults:
                 value = _config_value(parser, action, defaults[action.dest])
                 command.set_defaults(**{action.dest: value})
+    for action in required:
+        action.required = action.dest not in defaults
     return parser.parse_args(argv)
 
 
@@ -183,9 +194,6 @@ def cmd_solve(args) -> int:
         print("solve: parameters out of range", file=sys.stderr)
         return EXIT_USAGE
     instance = load_instance(args.instance)
-    report: dict[str, object] = {
-        "uncovered": coverage.uncovered_count(instance),
-    }
     try:
         plan = shuffle.min_raw_broadcasts(instance, budget=args.budget)
         solver = "exact"
@@ -194,9 +202,12 @@ def cmd_solve(args) -> int:
             raise
         plan = shuffle.greedy_raw_broadcasts(instance)
         solver = "greedy"
-    report["raw_broadcasts"] = plan.size
-    report["raw_broadcast_messages"] = list(plan.broadcast_messages)
-    report["raw_solver"] = solver
+    report: dict[str, object] = {
+        "uncovered": plan.uncovered,
+        "raw_broadcasts": plan.size,
+        "raw_broadcast_messages": list(plan.broadcast_messages),
+        "raw_solver": solver,
+    }
     inter = shuffle.min_intermediate_broadcasts(instance)
     report["intermediate_broadcasts"] = inter.total
     if not args.skip_coded:
@@ -222,7 +233,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.trials < 1 or args.fixed_nodes_per_function < 1:
+    C = args.fixed_nodes_per_function
+    if args.trials < 1 or C < 1 or (args.compare_fixed and args.K * C > args.n):
         print("sweep: parameters out of range", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -239,11 +251,9 @@ def cmd_sweep(args) -> int:
         nodes_per_function=args.fixed_nodes_per_function,
     )
     if args.format == "json":
-        import math as _math
-
         rows = [
             {
-                k: (None if isinstance(v, float) and _math.isnan(v) else v)
+                k: (None if isinstance(v, float) and math.isnan(v) else v)
                 for k, v in sorted(vars(pt).items())
             }
             for pt in points

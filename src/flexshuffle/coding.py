@@ -23,11 +23,11 @@ from functools import cached_property
 import numpy as np
 
 from . import gf2
-from .coverage import Assignment
+from .coverage import Assignment, base_matching
 from .errors import CapExceeded, Infeasible, InvariantViolation
 from .gf2 import gf2_rank  # noqa: F401  re-exported as flexshuffle.gf2_rank
 from .instance import Instance
-from .shuffle import _base_matching, _check_solvable
+from .shuffle import check_solvable
 
 
 @dataclass(frozen=True)
@@ -282,9 +282,9 @@ def best_coded_plan(
     reaches it; with two transmissions known, the search for one is a
     closed-form test instead of a completion enumeration.
     """
-    _check_solvable(instance)
+    check_solvable(instance)
     K, n = instance.k, instance.n
-    _, match_fn, _, matched = _base_matching(instance)
+    _, match_fn, _, matched = base_matching(instance)
     if matched == K:
         return CodedPlan(
             count=0, assignment=Assignment(pairs=tuple(enumerate(match_fn))),

@@ -170,7 +170,14 @@ def hopcroft_karp(adjacency, n_nodes: int) -> tuple[list[int], list[int], int]:
     return match_fn, match_node, matched
 
 
+def base_matching(instance: Instance):
+    """The zero-communication start of Y and of every raw and coded search:
+    the coverage adjacency as built, a maximum matching on it as
+    ``match_fn``/``match_node`` lists, and the matching's size."""
+    adjacency = build_coverage_graph(instance).adjacency
+    return adjacency, *hopcroft_karp(adjacency, instance.n)
+
+
 def uncovered_count(instance: Instance) -> int:
     """Minimum number of functions left uncovered by any flexible assignment."""
-    graph = build_coverage_graph(instance)
-    return instance.k - hopcroft_karp(graph.adjacency, graph.n_nodes)[2]
+    return instance.k - base_matching(instance)[3]

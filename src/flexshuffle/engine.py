@@ -46,7 +46,10 @@ def payload_width(payloads: dict[int, MessagePayload]) -> int:
 
 def encode_payload(payload: MessagePayload, width: int) -> bytes:
     """Length-prefixed canonical bytes, zero-padded to ``width``."""
-    content = payload.content()
+    return _framed(payload.content(), width)
+
+
+def _framed(content: bytes, width: int) -> bytes:
     if _LEN_BYTES + len(content) > width:
         raise ValueError(f"payload needs {_LEN_BYTES + len(content)} bytes, width is {width}")
     return len(content).to_bytes(_LEN_BYTES, "big") + content + b"\x00" * (
@@ -242,7 +245,8 @@ def run_plan(
     """
     if sorted(k for k, _ in assignment.pairs) != list(range(instance.k)):
         raise InvariantViolation("assignment-total", "every function needs a node")
-    width = payload_width(payloads)
+    contents = {j: p.content() for j, p in payloads.items()}
+    width = _LEN_BYTES + max(map(len, contents.values()))
     transcript = Transcript(transmissions=list(transmissions))
     received: dict[tuple[int, int], int] = {}  # (function, slot) -> intermediate tx index
     for t, tx in enumerate(transcript.transmissions):
@@ -252,7 +256,7 @@ def run_plan(
             raise InvariantViolation(
                 "transmission-width", f"raw and coded data must be {width} bytes"
             )
-    encoded = {j: int.from_bytes(encode_payload(p, width), "big") for j, p in payloads.items()}
+    encoded = {j: int.from_bytes(_framed(c, width), "big") for j, c in contents.items()}
     rows = instance.placement.cells.tolist()
     names = [f"tx{t}" for t in range(len(transmissions))]
     names += [f"local{j}" for j in range(instance.m)]

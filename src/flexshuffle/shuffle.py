@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .coverage import Assignment, augment, build_coverage_graph, hopcroft_karp
+from .coverage import Assignment, augment, base_matching
 from .errors import BudgetExceeded, Infeasible, InvariantViolation, Outage
 from .instance import Instance
 
@@ -27,6 +27,7 @@ class UncodedPlan:
     broadcast_messages: tuple[int, ...]
     senders: tuple[tuple[int, int], ...]  # (message, sending node)
     assignment: Assignment
+    uncovered: int  # Y: functions no zero-broadcast assignment covers
 
     @property
     def size(self) -> int:
@@ -107,14 +108,7 @@ def _grown(adjacency, gains) -> list:
     return trial
 
 
-def _base_matching(instance: Instance):
-    """The coverage adjacency as a list, a maximum matching on it as
-    ``match_fn``/``match_node`` lists, and the matching's size."""
-    adjacency = list(build_coverage_graph(instance).adjacency)
-    return adjacency, *hopcroft_karp(adjacency, instance.n)
-
-
-def _check_solvable(instance: Instance) -> None:
+def check_solvable(instance: Instance) -> None:
     """Raise Outage when a needed message is held by nobody, else
     Infeasible when K > n."""
     missing = missing_messages(instance)
@@ -124,12 +118,15 @@ def _check_solvable(instance: Instance) -> None:
         raise Infeasible(f"K={instance.k} functions but only n={instance.n} nodes")
 
 
-def _plan(instance: Instance, messages: tuple[int, ...], match_fn: list[int]) -> UncodedPlan:
+def _plan(
+    instance: Instance, messages: tuple[int, ...], match_fn: list[int], uncovered: int
+) -> UncodedPlan:
     senders = tuple((j, instance.placement.holders(j)[0]) for j in messages)
     return UncodedPlan(
         broadcast_messages=messages,
         senders=senders,
         assignment=Assignment(pairs=tuple((k, i) for k, i in enumerate(match_fn) if i != -1)),
+        uncovered=uncovered,
     )
 
 
@@ -145,11 +142,11 @@ def min_raw_broadcasts(instance: Instance, budget: int = 8) -> UncodedPlan:
     Raises Outage when a needed message is held by nobody, Infeasible when
     K > n, and BudgetExceeded when no feasible set of size <= budget exists.
     """
-    _check_solvable(instance)
+    check_solvable(instance)
     K = instance.k
-    adjacency, match_fn, match_node, matched = _base_matching(instance)
+    adjacency, match_fn, match_node, matched = base_matching(instance)
     if matched == K:
-        return _plan(instance, (), match_fn)
+        return _plan(instance, (), match_fn, 0)
     lacks, nodes, users = _input_tables(instance)
     held_by_all = instance.placement.cells.all(axis=0).tolist()
     candidates = sorted(j for j in users if not held_by_all[j])
@@ -163,7 +160,7 @@ def min_raw_broadcasts(instance: Instance, budget: int = 8) -> UncodedPlan:
             trial_fn = match_fn.copy()
             gained = augment(_grown(adjacency, gains), trial_fn, match_node.copy())
             if matched + gained == K:
-                return _plan(instance, combo, trial_fn)
+                return _plan(instance, combo, trial_fn, K - matched)
     raise BudgetExceeded(budget)
 
 
@@ -178,27 +175,12 @@ def greedy_raw_broadcasts(instance: Instance) -> UncodedPlan:
     broadcast only ever completes edges whose last missing message it is,
     and the maximum matching is re-augmented in place.
     """
-    _check_solvable(instance)
-    return _greedy(instance, *_base_matching(instance))
-
-
-def _uncovered_and_greedy(instance: Instance) -> tuple[int, int | None]:
-    """Y and the greedy plan size of one sweep trial, both from one coverage
-    graph and matching; the size is None on outage."""
-    adjacency, match_fn, match_node, matched = _base_matching(instance)
-    y = instance.k - matched
-    try:
-        _check_solvable(instance)
-    except Outage:
-        return y, None
-    return y, _greedy(instance, adjacency, match_fn, match_node, matched).size
-
-
-def _greedy(instance: Instance, adjacency, match_fn, match_node, matched) -> UncodedPlan:
-    """Greedy rounds from a maximum matching on the coverage ``adjacency``."""
+    check_solvable(instance)
     K = instance.k
+    adjacency, match_fn, match_node, matched = base_matching(instance)
+    uncovered = K - matched
     if matched == K:
-        return _plan(instance, (), match_fn)
+        return _plan(instance, (), match_fn, 0)
     functions = instance.workload.functions
     lacks, nodes, users = _input_tables(instance)
     broadcast: set[int] = set()
@@ -228,7 +210,7 @@ def _greedy(instance: Instance, adjacency, match_fn, match_node, matched) -> Unc
             lacks[k, s] = False
             nodes[k] = [None, None, None]
         matched += augment(adjacency, match_fn, match_node)
-    return _plan(instance, tuple(sorted(broadcast)), match_fn)
+    return _plan(instance, tuple(sorted(broadcast)), match_fn, uncovered)
 
 
 def min_intermediate_broadcasts(instance: Instance) -> IntermediatePlan:
@@ -239,7 +221,7 @@ def min_intermediate_broadcasts(instance: Instance) -> IntermediatePlan:
     (0, 1 or 2); every missing value is one broadcast, useful only to its
     assigned node.
     """
-    _check_solvable(instance)
+    check_solvable(instance)
     if instance.k == 0:
         return IntermediatePlan(assignment=Assignment(pairs=()), cost_per_function=(), total=0)
     cost = _lacks(instance).sum(axis=1)

@@ -258,8 +258,7 @@ def test_sweep_builds_one_coverage_graph_per_trial(monkeypatch):
         calls.append(instance)
         return build(instance)
 
-    for module in (flexshuffle.coverage, flexshuffle.shuffle):
-        monkeypatch.setattr(module, "build_coverage_graph", counted)
+    monkeypatch.setattr(flexshuffle.coverage, "build_coverage_graph", counted)
     (pt,) = sweep([(40, 40, 20, 2)], [0.25], trials=30, seed=5)
     assert pt.error == ""
     assert 0 < pt.mean_uncovered and pt.mean_tun_greedy > 0

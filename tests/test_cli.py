@@ -1,9 +1,10 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from flexshuffle import cli
+from flexshuffle import cli, coverage
 from flexshuffle.instance import demo_instance, instance_to_text, load_instance
 
 GOLDEN = Path(__file__).parent / "data" / "demo_transcript.golden"
@@ -103,6 +104,24 @@ def test_solve_p1_all_zero(tmp_path, capsys):
     assert lines["raw_broadcasts"] == "0"
     assert lines["intermediate_broadcasts"] == "0"
     assert lines["coded_broadcasts"] == "0"
+
+
+@pytest.mark.parametrize("extra, builds", [([], 2), (["--skip-coded"], 1)])
+def test_solve_builds_one_coverage_graph_per_search(tmp_path, capsys, monkeypatch, extra, builds):
+    # the raw search reports Y, so only it and the coded search build one
+    calls = []
+    build = coverage.build_coverage_graph
+
+    def counted(instance):
+        calls.append(instance)
+        return build(instance)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("flexshuffle") and hasattr(module, "build_coverage_graph"):
+            monkeypatch.setattr(module, "build_coverage_graph", counted)
+    code, _, _ = run(capsys, "solve", str(demo_file(tmp_path)), *extra)
+    assert code == cli.EXIT_OK
+    assert len(calls) == builds
 
 
 def test_solve_outage_exit_code(tmp_path, capsys):
@@ -260,6 +279,21 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, key, value):
     assert captured.out == ""
 
 
+def test_config_supplies_required_flags(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"m": 10, "n": 8, "K": 3, "p_values": "0.5"}))
+    code, out, _ = run(capsys, "--config", str(config), "sweep", "--trials", "5")
+    assert code == cli.EXIT_OK
+    flags = ["--m", "10", "--n", "8", "--K", "3", "--p-values", "0.5", "--trials", "5"]
+    assert run(capsys, "sweep", *flags) == (cli.EXIT_OK, out, "")
+    # a required flag the file leaves out is still required
+    config.write_text(json.dumps({"m": 10, "n": 8, "K": 3}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(config), "sweep", "--trials", "5"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "--p-values" in capsys.readouterr().err
+
+
 def test_config_values_convert_like_flags(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"budget": "1", "skip_coded": True, "format": "json",
@@ -273,7 +307,8 @@ def test_config_values_convert_like_flags(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "extra", [["--trials", "0"], ["--compare-fixed", "--fixed-nodes-per-function", "0"],
-              ["--compare-fixed", "--fixed-nodes-per-function", "-1"]],
+              ["--compare-fixed", "--fixed-nodes-per-function", "-1"],
+              ["--compare-fixed", "--fixed-nodes-per-function", "3"]],  # K*C = 9 > n
 )
 def test_sweep_rejects_out_of_range_counts(capsys, extra):
     args = ["sweep", "--m", "10", "--n", "8", "--K", "3", "--p-values", "0.5", "--trials", "5"]

@@ -236,3 +236,13 @@ def test_demo_plan_transmission_invariants():
     for tx in demo_plan(inst, payloads):
         assert all(inst.placement.cells[tx.sender, j] for j in tx.support)
     assert demo_assignment().mapping == {0: 2, 1: 1, 2: 0}
+
+
+def test_run_plan_builds_each_content_once(monkeypatch):
+    inst, payloads = demo_instance(), demo_payloads()
+    transmissions = demo_plan(inst, payloads)
+    calls = []
+    content = MessagePayload.content
+    monkeypatch.setattr(MessagePayload, "content", lambda self: calls.append(1) or content(self))
+    run_plan(inst, payloads, transmissions, demo_assignment())
+    assert len(calls) == inst.m

@@ -1,6 +1,8 @@
+import contextlib
+
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import brute_min_intermediate, brute_min_raw_broadcasts, side_sets
 from test_coverage import small_instances
@@ -15,6 +17,7 @@ from flexshuffle.instance import (
     demo_instance,
     generate_functions,
     generate_placement,
+    random_instance,
 )
 from flexshuffle.shuffle import (
     _gains,
@@ -222,6 +225,19 @@ def test_raw_zero_iff_no_uncovered():
             continue
         plan = min_raw_broadcasts(inst)
         assert (plan.size == 0) == (uncovered_count(inst) == 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_instances())
+@example(demo_instance())  # Y = 3
+@example(random_instance(6, 5, 3, 2, 1.0, 0))  # Y = 0
+def test_raw_plans_report_uncovered_count(inst):
+    if not solvable(inst):
+        return
+    y = uncovered_count(inst)
+    assert greedy_raw_broadcasts(inst).uncovered == y
+    with contextlib.suppress(BudgetExceeded):
+        assert min_raw_broadcasts(inst, budget=4).uncovered == y
 
 
 def test_demo_intermediate_is_three():
