@@ -16,18 +16,14 @@ import numpy as np
 
 from flexshuffle import (
     MessagePayload,
-    best_coded_plan,
     common_friends,
     generate_functions,
     generate_placement,
-    min_intermediate_broadcasts,
-    min_raw_broadcasts,
     missing_messages,
     run_plan,
-    uncovered_count,
+    solve,
 )
 from flexshuffle.engine import transmissions_from_coded_plan
-from flexshuffle.errors import CapExceeded
 from flexshuffle.instance import Instance
 
 rng = np.random.default_rng(99)
@@ -60,13 +56,10 @@ while shown < 12:
     )
     if missing_messages(inst):
         continue
-    try:
-        coded = best_coded_plan(inst)
-    except CapExceeded:
+    report = solve(inst)
+    coded, raw, inter = report.coded, report.raw, report.inter
+    if coded is None:
         continue
-    y = uncovered_count(inst)
-    raw = min_raw_broadcasts(inst, budget=8)
-    inter = min_intermediate_broadcasts(inst)
     assert coded.count <= raw.size <= inter.total
     payloads = random_payloads(m)
     txs = transmissions_from_coded_plan(inst, payloads, coded)
@@ -76,7 +69,7 @@ while shown < 12:
         for k, pair in enumerate(inst.workload.functions)
     )
     shown += 1
-    print(f"{shown:>3} {m:>3} {n:>3} {K:>3} {p:>6.2f} {y:>3} "
+    print(f"{shown:>3} {m:>3} {n:>3} {K:>3} {p:>6.2f} {raw.uncovered:>3} "
           f"{raw.size:>6} {inter.total:>6} {coded.count:>7}  "
           f"{'outputs match oracle' if ok else 'MISMATCH'}")
 

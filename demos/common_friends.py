@@ -7,19 +7,17 @@ possible.
 """
 
 from flexshuffle import (
-    best_coded_plan,
     build_coverage_graph,
     common_friends,
     demo_instance,
     demo_payloads,
-    min_intermediate_broadcasts,
-    min_raw_broadcasts,
     run_demo,
-    uncovered_count,
+    solve,
 )
 
 inst = demo_instance()
 payloads = demo_payloads()
+report = solve(inst)
 
 print("=" * 64)
 print("side information")
@@ -36,18 +34,16 @@ print("=" * 64)
 graph = build_coverage_graph(inst)
 for k, nbrs in enumerate(graph.adjacency):
     print(f"  function {k}: covering nodes = {list(nbrs) or 'none'}")
-print("minimum uncovered functions:", uncovered_count(inst))
+print("minimum uncovered functions:", report.raw.uncovered)
 
 print()
 print("=" * 64)
 print("how many broadcasts do we need?")
 print("=" * 64)
-raw = min_raw_broadcasts(inst)
-print(f"  raw messages (exact):        {raw.size}  broadcast = "
+raw, coded = report.raw, report.coded
+print(f"  raw messages ({report.raw_solver}):        {raw.size}  broadcast = "
       f"{[payloads[j].owner for j in raw.broadcast_messages]}")
-inter = min_intermediate_broadcasts(inst)
-print(f"  intermediate values:         {inter.total}  (one per missing input)")
-coded = best_coded_plan(inst)
+print(f"  intermediate values:         {report.inter.total}  (one per missing input)")
 pretty = [
     "+".join(sorted(payloads[j].owner for j in support)) for support in coded.broadcasts
 ]

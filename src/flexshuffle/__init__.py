@@ -34,11 +34,11 @@ from .coding import (
     CodedPlan,
     FittingMatrix,
     MinrankResult,
+    SolveReport,
     best_coded_plan,
     build_fitting_matrix,
-    gf2_rank,
     minrank_gf2,
-    optimal_coded_flexible,
+    solve,
 )
 from .coverage import (
     Assignment,
@@ -67,6 +67,7 @@ from .errors import (
     Outage,
     ParseError,
 )
+from .gf2 import gf2_rank
 from .instance import (
     FunctionSet,
     Instance,

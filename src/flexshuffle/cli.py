@@ -4,7 +4,7 @@ Every command is deterministic given its flags (seeds default to fixed
 constants, never the clock) and exits with a documented code:
 
     0  success                     5  BudgetExceeded
-    2  invalid arguments           6  CapExceeded
+    2  invalid arguments or files  6  CapExceeded
     3  Infeasible                  7  ParseError / invariant violation
     4  Outage                      8  DecodeFailure
 """
@@ -17,7 +17,7 @@ import json
 import math
 import sys
 
-from . import analysis, coding, engine, shuffle
+from . import analysis, coding, engine
 from .errors import (
     BudgetExceeded,
     CapExceeded,
@@ -46,6 +46,7 @@ _ERROR_CODES = [
     (BudgetExceeded, EXIT_BUDGET),
     (CapExceeded, EXIT_CAP),
     (DecodeFailure, EXIT_DECODE),
+    (OSError, EXIT_USAGE),
 ]
 
 DEFAULT_SEED = 1729
@@ -138,8 +139,13 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     probe, _ = parser.parse_known_args(argv)
     defaults = {}
     if probe.config:
-        with open(probe.config, "r", encoding="utf-8") as fh:
-            defaults = json.load(fh)
+        try:
+            with open(probe.config, "r", encoding="utf-8") as fh:
+                defaults = json.load(fh)
+        except (OSError, ValueError) as exc:
+            parser.error(f"--config {probe.config}: {exc}")
+        if not isinstance(defaults, dict):
+            parser.error(f"--config {probe.config}: expected a JSON object")
         command = commands[probe.command]
         for action in command._actions:
             if action.dest in defaults:
@@ -193,35 +199,24 @@ def cmd_solve(args) -> int:
     if min(args.budget, args.free_cap, args.assignment_cap) < 0:
         print("solve: parameters out of range", file=sys.stderr)
         return EXIT_USAGE
-    instance = load_instance(args.instance)
-    try:
-        plan = shuffle.min_raw_broadcasts(instance, budget=args.budget)
-        solver = "exact"
-    except BudgetExceeded:
-        if args.no_greedy_fallback:
-            raise
-        plan = shuffle.greedy_raw_broadcasts(instance)
-        solver = "greedy"
+    result = coding.solve(
+        load_instance(args.instance), budget=args.budget,
+        assignment_cap=args.assignment_cap, free_cap=args.free_cap,
+        skip_coded=args.skip_coded, greedy_fallback=not args.no_greedy_fallback,
+    )
+    if args.require_coded and result.coded_refusal is not None:
+        raise result.coded_refusal
     report: dict[str, object] = {
-        "uncovered": plan.uncovered,
-        "raw_broadcasts": plan.size,
-        "raw_broadcast_messages": list(plan.broadcast_messages),
-        "raw_solver": solver,
+        "uncovered": result.raw.uncovered,
+        "raw_broadcasts": result.raw.size,
+        "raw_broadcast_messages": list(result.raw.broadcast_messages),
+        "raw_solver": result.raw_solver,
+        "intermediate_broadcasts": result.inter.total,
     }
-    inter = shuffle.min_intermediate_broadcasts(instance)
-    report["intermediate_broadcasts"] = inter.total
     if not args.skip_coded:
-        try:
-            report["coded_broadcasts"] = coding.optimal_coded_flexible(
-                instance,
-                assignment_cap=args.assignment_cap,
-                free_cap=args.free_cap,
-            )
-        except CapExceeded as exc:
-            if args.require_coded:
-                raise
-            report["coded_broadcasts"] = None
-            report["coded_skipped"] = str(exc)
+        report["coded_broadcasts"] = None if result.coded is None else result.coded.count
+    if result.coded_refusal is not None:
+        report["coded_skipped"] = str(result.coded_refusal)
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
     else:

@@ -22,12 +22,10 @@ from functools import cached_property
 
 import numpy as np
 
-from . import gf2
+from . import gf2, shuffle
 from .coverage import Assignment, base_matching
-from .errors import CapExceeded, Infeasible, InvariantViolation
-from .gf2 import gf2_rank  # noqa: F401  re-exported as flexshuffle.gf2_rank
+from .errors import BudgetExceeded, CapExceeded, Infeasible, InvariantViolation
 from .instance import Instance
-from .shuffle import check_solvable
 
 
 @dataclass(frozen=True)
@@ -282,7 +280,7 @@ def best_coded_plan(
     reaches it; with two transmissions known, the search for one is a
     closed-form test instead of a completion enumeration.
     """
-    check_solvable(instance)
+    shuffle.check_solvable(instance)
     K, n = instance.k, instance.n
     _, match_fn, _, matched = base_matching(instance)
     if matched == K:
@@ -339,10 +337,38 @@ def best_coded_plan(
     return best
 
 
-def optimal_coded_flexible(
-    instance: Instance,
-    assignment_cap: int = 100_000,
-    free_cap: int = 20,
-) -> int:
-    """Minimum coded broadcast count with a free choice of assignment."""
-    return best_coded_plan(instance, assignment_cap, free_cap).count
+@dataclass(frozen=True)
+class SolveReport:
+    """The plans ``solve`` found for one instance; Y is ``raw.uncovered``."""
+
+    raw: shuffle.UncodedPlan
+    raw_solver: str  # "exact", or "greedy" past the exact search's budget
+    inter: shuffle.IntermediatePlan
+    coded: CodedPlan | None  # None when skipped or refused
+    coded_refusal: CapExceeded | None  # why the coded search refused
+
+
+def solve(
+    instance: Instance, budget: int = 8, assignment_cap: int = 100_000,
+    free_cap: int = 20, skip_coded: bool = False, greedy_fallback: bool = True,
+) -> SolveReport:
+    """Y, T_raw, T_int and T_code of one instance, with their plans.
+
+    T_raw is exact up to ``budget`` broadcasts, then greedy's, or without
+    ``greedy_fallback`` BudgetExceeded propagates before any other solver
+    runs.  A coded search over its caps is reported, not raised.
+    """
+    try:
+        raw, raw_solver = shuffle.min_raw_broadcasts(instance, budget=budget), "exact"
+    except BudgetExceeded:
+        if not greedy_fallback:
+            raise
+        raw, raw_solver = shuffle.greedy_raw_broadcasts(instance), "greedy"
+    inter = shuffle.min_intermediate_broadcasts(instance)
+    coded = refusal = None
+    if not skip_coded:
+        try:
+            coded = best_coded_plan(instance, assignment_cap, free_cap)
+        except CapExceeded as exc:
+            refusal = exc
+    return SolveReport(raw, raw_solver, inter, coded, refusal)

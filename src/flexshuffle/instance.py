@@ -287,11 +287,14 @@ def instance_to_text(instance: Instance) -> str:
 def load_instance(path) -> Instance:
     """Parse an instance file; inverse of ``save_instance``.
 
-    Raises ParseError with a line number on malformed input and
-    InvariantViolation (naming the invariant) if the parsed object is
-    structurally invalid.
+    Raises ParseError on malformed or non-UTF-8 input, with a line number
+    when one is known, and InvariantViolation (naming the invariant) if the
+    parsed object is structurally invalid.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     return instance_from_text(text)
 
 

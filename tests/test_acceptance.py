@@ -31,7 +31,6 @@ from flexshuffle.coding import (
     best_coded_plan,
     build_fitting_matrix,
     minrank_gf2,
-    optimal_coded_flexible,
 )
 from flexshuffle.coverage import build_coverage_graph, hopcroft_karp, uncovered_count
 from flexshuffle.engine import (
@@ -87,7 +86,7 @@ def test_c02_demo_solver_values():
     assert brute_min_raw_broadcasts(inst, max_size=1) is None
     inter = min_intermediate_broadcasts(inst)
     assert inter.total == 3
-    assert optimal_coded_flexible(inst) == 2
+    assert best_coded_plan(inst).count == 2
     assert inter.total >= raw.size
     report(2, "demo solver values")
 

@@ -168,7 +168,7 @@ def test_solve_cap_exit_code(tmp_path, capsys):
 def test_solve_cap_skips_quietly_by_default(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", str(demo_file(tmp_path)), "--assignment-cap", "5")
     assert code == cli.EXIT_OK
-    assert "coded_skipped" in out
+    assert "coded_broadcasts None\ncoded_skipped assignments: 24 exceeds cap 5\n" in out
 
 
 def test_solve_parse_error_exit_code(tmp_path, capsys):
@@ -176,6 +176,34 @@ def test_solve_parse_error_exit_code(tmp_path, capsys):
     path.write_text("not a real instance\n")
     code, _, err = run(capsys, "solve", str(path))
     assert code == cli.EXIT_PARSE
+
+
+def test_solve_missing_file_exit_code(tmp_path, capsys):
+    code, out, err = run(capsys, "solve", str(tmp_path / "missing.txt"))
+    assert code == cli.EXIT_USAGE
+    assert "FileNotFoundError" in err
+    assert out == ""
+
+
+def test_solve_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(instance_to_text(demo_instance()).encode() + b"# caf\xe9\n")
+    code, _, err = run(capsys, "solve", str(path))
+    assert code == cli.EXIT_PARSE
+    assert "ParseError" in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "--demo"],
+     ["sweep", "--m", "6", "--n", "4", "--K", "2", "--p-values", "0.5", "--trials", "2"]],
+    ids=["gen", "sweep"],
+)
+def test_out_into_missing_directory_exit_code(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "no" / "such.txt"))
+    assert code == cli.EXIT_USAGE
+    assert "FileNotFoundError" in err
+    assert out == ""
 
 
 def test_sweep_csv_deterministic(tmp_path, capsys):
@@ -303,6 +331,21 @@ def test_config_values_convert_like_flags(tmp_path, capsys):
     report = json.loads(out)
     assert "coded_broadcasts" not in report
     assert report["raw_solver"] == "greedy"  # the demo needs two broadcasts
+
+
+@pytest.mark.parametrize(
+    "content", [None, "{not json", '["demo"]'], ids=["missing", "not-json", "not-object"]
+)
+def test_config_file_failures_exit_with_usage(tmp_path, capsys, content):
+    config = tmp_path / "config.json"
+    if content is not None:
+        config.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(config), "gen", "--demo"])
+    captured = capsys.readouterr()
+    assert exc.value.code == cli.EXIT_USAGE
+    assert str(config) in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import brute_minrank, brute_supported_minrank, completions, rank_gf2, side_sets
 
+from flexshuffle import coding, gf2_rank
 from flexshuffle.coding import (
     FittingMatrix,
     _held_masks,
@@ -10,12 +11,11 @@ from flexshuffle.coding import (
     _supported_minrank,
     best_coded_plan,
     build_fitting_matrix,
-    gf2_rank,
     minrank_gf2,
-    optimal_coded_flexible,
+    solve,
 )
 from flexshuffle.coverage import Assignment
-from flexshuffle.errors import CapExceeded, InvariantViolation
+from flexshuffle.errors import BudgetExceeded, CapExceeded, InvariantViolation
 from flexshuffle.instance import (
     Instance,
     demo_instance,
@@ -183,7 +183,7 @@ def test_minrank_more_side_info_never_hurts():
 
 
 def test_optimal_coded_demo_is_two():
-    assert optimal_coded_flexible(demo_instance()) == 2
+    assert best_coded_plan(demo_instance()).count == 2
 
 
 def test_best_coded_plan_demo_supportable():
@@ -199,7 +199,7 @@ def test_optimal_coded_p1_is_zero():
         placement=generate_placement(6, 4, 1.0, seed=0),
         workload=generate_functions(6, 3, 2, seed=1),
     )
-    assert optimal_coded_flexible(inst) == 0
+    assert best_coded_plan(inst).count == 0
 
 
 def test_optimal_coded_at_most_raw():
@@ -210,7 +210,7 @@ def test_optimal_coded_at_most_raw():
         inst = tiny_instance(seed, m=6, n=4, K=2, d=2, p=0.3)
         if missing_messages(inst) or inst.k > inst.n:
             continue
-        coded = optimal_coded_flexible(inst)
+        coded = best_coded_plan(inst).count
         raw = min_raw_broadcasts(inst, budget=8).size
         assert coded <= raw
         checked += 1
@@ -219,7 +219,45 @@ def test_optimal_coded_at_most_raw():
 def test_optimal_coded_assignment_cap():
     # demo needs transmissions, and perm(4, 3) = 24 > 5
     with pytest.raises(CapExceeded):
-        optimal_coded_flexible(demo_instance(), assignment_cap=5)
+        best_coded_plan(demo_instance(), assignment_cap=5)
+
+
+def test_solve_demo_counts():
+    report = solve(demo_instance())
+    assert report.raw.uncovered == 3
+    assert (report.raw.size, report.raw_solver) == (2, "exact")
+    assert report.inter.total == 3
+    assert report.coded.count == 2
+    assert report.coded_refusal is None
+
+
+def test_solve_falls_back_to_greedy_past_the_budget():
+    report = solve(demo_instance(), budget=1)
+    assert report.raw_solver == "greedy"
+    assert report.raw.uncovered == 3
+
+
+def test_solve_without_fallback_raises_before_the_coded_search(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the coded search ran")
+
+    monkeypatch.setattr(coding, "best_coded_plan", never)
+    with pytest.raises(BudgetExceeded):
+        solve(demo_instance(), budget=1, greedy_fallback=False)
+
+
+def test_solve_records_a_coded_refusal():
+    # perm(4, 3) = 24 assignments exceed the cap; the CLI prints this text
+    report = solve(demo_instance(), assignment_cap=5)
+    assert report.coded is None
+    assert str(report.coded_refusal) == "assignments: 24 exceeds cap 5"
+    assert report.raw.size == 2
+
+
+def test_solve_skip_coded():
+    report = solve(demo_instance(), skip_coded=True)
+    assert (report.coded, report.coded_refusal) == (None, None)
+    assert report.inter.total == 3
 
 
 def test_minrank_bounded_by_receivers_and_demands():
