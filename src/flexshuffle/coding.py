@@ -144,7 +144,7 @@ def _completion_rows(fm: FittingMatrix, completion: int) -> tuple[int, ...]:
 def _check_caps(fm: FittingMatrix, free_cap: int) -> None:
     """Raise CapExceeded when the matrix has more than ``free_cap`` free
     cells or more columns than ``gf2.completion_ranks`` takes."""
-    n_free = len(fm.free_cells)
+    n_free = sum(f.bit_count() for f in fm.free)
     if n_free > free_cap:
         raise CapExceeded("free cells", n_free, free_cap)
     if fm.n_rows and fm.n_cols > gf2.MAX_COLS:
@@ -175,6 +175,34 @@ def minrank_gf2(fm: FittingMatrix, free_cap: int = 20) -> MinrankResult:
     """
     rank, witness = next(_completions_by_rank(fm, free_cap))
     return MinrankResult(rank=rank, witness=witness, n_cols=fm.n_cols)
+
+
+def _has_acyclic_rows(fm: FittingMatrix, size: int) -> bool:
+    """Whether ``size`` rows have distinct demand columns and no cycle in
+    the digraph "row r -> row s when r's free mask holds s's demand column".
+
+    Ordered along that digraph, such rows form a triangular submatrix with
+    its forced ones on the diagonal, so every completion has rank at least
+    ``size``: the acyclic-induced-subgraph lower bound on minrank
+    (Bar-Yossef, Birk, Jayram and Kol, FOCS 2006).  Sets are grown by
+    appending a row with no free cell at a demand column already taken;
+    whether a set can grow depends only on those columns, so each column
+    set that cannot reach ``size`` is searched once.
+    """
+    rows = tuple(zip(fm.demand_col, fm.free))
+    dead: set[int] = set()
+
+    def grow(cols: int, need: int) -> bool:
+        if need == 0:
+            return True
+        if cols not in dead:
+            for dc, f in rows:
+                if not (cols >> dc & 1 or f & cols) and grow(cols | 1 << dc, need - 1):
+                    return True
+            dead.add(cols)
+        return False
+
+    return size <= fm.n_cols and grow(0, size)
 
 
 def _supportable_masks(columns, held: list[int]) -> np.ndarray:
@@ -241,6 +269,10 @@ def _supported_minrank(fm: FittingMatrix, held: list[int], free_cap: int, below=
     A supportable one exists when some node holds every demanded message,
     and then the one with rows equal to ``demanded`` comes first in
     completion order.
+
+    ``below >= 3`` first looks for ``below`` rows that bound every
+    completion's rank from below (``_has_acyclic_rows``); when they exist no
+    completion can qualify, and none is ranked.
     """
     if below == 2 and fm.n_rows:
         _check_caps(fm, free_cap)
@@ -252,6 +284,10 @@ def _supported_minrank(fm: FittingMatrix, held: list[int], free_cap: int, below=
             if any(needed & ~h == 0 for h in held):
                 return 1, [demanded]
         return None, None
+    if below is not None and below >= 3:
+        _check_caps(fm, free_cap)
+        if _has_acyclic_rows(fm, below):
+            return None, None
     completions = _completions_by_rank(fm, free_cap)
     supp = _supportable_masks(fm.columns, held)
     for rank, rows in completions:

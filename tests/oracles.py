@@ -153,3 +153,52 @@ def brute_supported_minrank(demand_col, free_masks, n_cols: int, node_masks):
         if rank_gf2(inside, n_cols) == rank:
             best = rank
     return best
+
+
+def brute_mais(demand_col, free_masks) -> int:
+    """Largest set of rows with distinct demand columns whose digraph
+    "row r -> row s when r's free mask holds s's demand column" is acyclic.
+
+    Tries every row subset, largest first; a subset is acyclic when
+    repeatedly deleting a row with no edge to another remaining row
+    empties it.
+    """
+    rows = range(len(demand_col))
+    for size in range(len(demand_col), 0, -1):
+        for subset in itertools.combinations(rows, size):
+            if len({demand_col[r] for r in subset}) < size:
+                continue
+            left = set(subset)
+            while sinks := {
+                r for r in left if not any(free_masks[r] >> demand_col[s] & 1 for s in left)
+            }:
+                left -= sinks
+            if not left:
+                return size
+    return 0
+
+
+def brute_coded_count(instance):
+    """Least sender-supportable coded broadcast count over all total
+    injective assignments, or None when no assignment has such a code.
+
+    Each assigned node demands every input it lacks, knowing its side
+    information; columns are the demanded messages.
+    """
+    side = side_sets(instance.placement)
+    functions = instance.workload.functions
+    best = None
+    for nodes in itertools.permutations(range(instance.n), instance.k):
+        receivers = [
+            (j, side[i]) for k, i in enumerate(nodes) for j in functions[k] if j not in side[i]
+        ]
+        columns = sorted({j for j, _ in receivers})
+        col = {j: c for c, j in enumerate(columns)}
+        demand_col = [col[j] for j, _ in receivers]
+        free_masks = [sum(1 << col[j] for j in held if j in col)
+                      for _, held in receivers]
+        node_masks = [sum(1 << col[j] for j in s if j in col) for s in side]
+        count = brute_supported_minrank(demand_col, free_masks, len(columns), node_masks)
+        if count is not None and (best is None or count < best):
+            best = count
+    return best

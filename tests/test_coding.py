@@ -1,11 +1,20 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_minrank, brute_supported_minrank, completions, rank_gf2, side_sets
+from oracles import (
+    brute_coded_count,
+    brute_mais,
+    brute_minrank,
+    brute_supported_minrank,
+    completions,
+    rank_gf2,
+    side_sets,
+)
 
-from flexshuffle import coding, gf2_rank
+from flexshuffle import coding, gf2, gf2_rank
 from flexshuffle.coding import (
     FittingMatrix,
+    _has_acyclic_rows,
     _held_masks,
     _receivers,
     _supported_minrank,
@@ -21,6 +30,7 @@ from flexshuffle.instance import (
     demo_instance,
     generate_functions,
     generate_placement,
+    random_instance,
 )
 from flexshuffle.shuffle import min_raw_broadcasts, missing_messages
 
@@ -216,6 +226,35 @@ def test_optimal_coded_at_most_raw():
         checked += 1
 
 
+def test_optimal_coded_matches_oracle():
+    # the acyclic-rows bound settles about a hundred of these draws' patterns
+    for K in (2, 3):
+        checked = seed = 0
+        while checked < 20:
+            seed += 1
+            inst = tiny_instance(seed, m=6, n=4, K=K, d=2, p=0.3)
+            if missing_messages(inst):
+                continue
+            assert best_coded_plan(inst).count == brute_coded_count(inst)
+            checked += 1
+
+
+def test_coded_search_refuses_without_ranking_every_pattern(monkeypatch):
+    # ranking every pattern made 4,573 calls, about a minute, before this refusal
+    calls = 0
+    completion_ranks = gf2.completion_ranks
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return completion_ranks(*args)
+
+    monkeypatch.setattr(gf2, "completion_ranks", counted)
+    with pytest.raises(CapExceeded, match="^free cells: 22 exceeds cap 20$"):
+        best_coded_plan(random_instance(10, 8, 5, 2, 0.3, seed=0))
+    assert calls <= 50
+
+
 def test_optimal_coded_assignment_cap():
     # demo needs transmissions, and perm(4, 3) = 24 > 5
     with pytest.raises(CapExceeded):
@@ -320,12 +359,41 @@ def test_supported_minrank_below_matches_oracle(case):
         )
 
 
+@st.composite
+def sparse_patterns(draw):
+    """A fitting matrix up to 6x5 with at most eight free cells."""
+    n_cols = draw(st.integers(1, 5))
+    demand_col = draw(st.lists(st.integers(0, n_cols - 1), min_size=1, max_size=6))
+    cells = draw(st.sets(
+        st.tuples(st.integers(0, len(demand_col) - 1), st.integers(0, n_cols - 1)), max_size=8
+    ))
+    free = [0] * len(demand_col)
+    for r, c in cells:
+        if c != demand_col[r]:
+            free[r] |= 1 << c
+    return FittingMatrix(
+        columns=tuple(range(n_cols)), demand_col=tuple(demand_col), free=tuple(free)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_patterns())
+def test_acyclic_rows_match_oracle_and_bound_minrank(fm):
+    mais = brute_mais(fm.demand_col, fm.free)
+    for size in range(1, fm.n_rows + 2):
+        assert _has_acyclic_rows(fm, size) == (mais >= size)
+    assert mais <= brute_minrank(fm.demand_col, fm.free, fm.n_cols)
+
+
 @pytest.mark.parametrize(
     "fm, free_cap",
     [
         # every off-demand cell free: the closed form would find rank 1
         (FittingMatrix(columns=tuple(range(5)), demand_col=tuple(range(5)),
                        free=tuple(0b11111 & ~(1 << r) for r in range(5))), 19),
+        # free cells above the diagonal only: the acyclic-rows bound gives rank 5
+        (FittingMatrix(columns=tuple(range(5)), demand_col=tuple(range(5)),
+                       free=tuple(0b11111 & ~((2 << r) - 1) for r in range(5))), 9),
         (FittingMatrix(columns=tuple(range(33)), demand_col=tuple(range(33)),
                        free=(0,) * 33), 20),
     ],
@@ -334,5 +402,6 @@ def test_rank_one_test_checks_caps_first(fm, free_cap):
     everything = [mask(fm.columns)]
     with pytest.raises(CapExceeded):
         _supported_minrank(fm, everything, free_cap)
-    with pytest.raises(CapExceeded):
-        _supported_minrank(fm, everything, free_cap, below=2)
+    for below in (2, 3):
+        with pytest.raises(CapExceeded):
+            _supported_minrank(fm, everything, free_cap, below=below)
