@@ -274,8 +274,8 @@ def _supported_minrank(fm: FittingMatrix, held: list[int], free_cap: int, below=
     completion's rank from below (``_has_acyclic_rows``); when they exist no
     completion can qualify, and none is ranked.
     """
+    _check_caps(fm, free_cap)
     if below == 2 and fm.n_rows:
-        _check_caps(fm, free_cap)
         demanded = 0
         for dc in fm.demand_col:
             demanded |= 1 << dc
@@ -284,10 +284,8 @@ def _supported_minrank(fm: FittingMatrix, held: list[int], free_cap: int, below=
             if any(needed & ~h == 0 for h in held):
                 return 1, [demanded]
         return None, None
-    if below is not None and below >= 3:
-        _check_caps(fm, free_cap)
-        if _has_acyclic_rows(fm, below):
-            return None, None
+    if below is not None and below >= 3 and _has_acyclic_rows(fm, below):
+        return None, None
     completions = _completions_by_rank(fm, free_cap)
     supp = _supportable_masks(fm.columns, held)
     for rank, rows in completions:
@@ -314,7 +312,13 @@ def best_coded_plan(
     pattern is searched only for completions of rank below its count, so a
     pattern that cannot improve on it stops at the first completion that
     reaches it; with two transmissions known, the search for one is a
-    closed-form test instead of a completion enumeration.
+    closed-form test instead of a completion enumeration.  With three or
+    more known, a pattern that has that many rows with distinct demands and
+    no cycle among them (row r points to row s when r's receiver holds s's
+    demand) is skipped before its completions are ranked: those rows form
+    a triangular submatrix with ones on its diagonal, so every completion
+    reaches the known count (the acyclic-induced-subgraph lower bound on
+    minrank of Bar-Yossef, Birk, Jayram and Kol, FOCS 2006).
     """
     shuffle.check_solvable(instance)
     K, n = instance.k, instance.n
