@@ -21,7 +21,12 @@ _INF = -1
 
 @dataclass(frozen=True)
 class CoverageGraph:
-    """Bipartite adjacency: for each function, the nodes that cover it."""
+    """Bipartite adjacency: for each function, the nodes that cover it.
+
+    A hand-built graph is checked row by row; ``from_edges`` checks the
+    flat edge arrays instead, with array operations, and builds the rows
+    without checking them again.
+    """
 
     k_functions: int
     n_nodes: int
@@ -35,6 +40,49 @@ class CoverageGraph:
                 raise InvariantViolation("adjacency-sorted", f"function {k}: {nbrs}")
             if nbrs and (nbrs[0] < 0 or nbrs[-1] >= self.n_nodes):
                 raise InvariantViolation("node-index-range", f"function {k}: {nbrs}")
+
+    @classmethod
+    def from_edges(cls, k_functions: int, n_nodes: int, ks, nodes) -> CoverageGraph:
+        """The graph with edges ``(ks[t], nodes[t])``, which must be listed
+        function by function, each function's nodes strictly ascending."""
+        _check_edges(ks, nodes, k_functions, n_nodes)
+        ends = np.cumsum(np.bincount(ks, minlength=k_functions)).tolist()
+        nodes = nodes.tolist()
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "k_functions", k_functions)
+        object.__setattr__(graph, "n_nodes", n_nodes)
+        object.__setattr__(
+            graph, "adjacency", tuple(tuple(nodes[a:b]) for a, b in zip([0] + ends[:-1], ends))
+        )
+        return graph
+
+
+def _check_edges(ks: np.ndarray, nodes: np.ndarray, K: int, n: int) -> None:
+    """Raise what a hand-built graph of these edges would raise.
+
+    With every node in [0, n), the edges are listed function by function
+    with each function's nodes strictly ascending exactly when ``ks * n +
+    nodes`` strictly ascends.  Only edges that fail this are sorted into
+    rows, so the row check can name the first bad function.
+    """
+    if not ks.size or (
+        0 <= ks[0]
+        and ks[-1] < K
+        and 0 <= nodes.min()
+        and nodes.max() < n
+        and (np.diff(ks * n + nodes) > 0).all()
+    ):
+        return
+    if (np.diff(ks) < 0).any():
+        raise InvariantViolation("adjacency-sorted", "edges not listed function by function")
+    if ks[0] < 0 or ks[-1] >= K:
+        raise InvariantViolation(
+            "adjacency-length", f"edges at functions {ks[0]}..{ks[-1]}, outside [0, {K})"
+        )
+    rows: list[list[int]] = [[] for _ in range(K)]
+    for k, i in zip(ks.tolist(), nodes.tolist()):
+        rows[k].append(i)
+    CoverageGraph(k_functions=K, n_nodes=n, adjacency=tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True)
@@ -64,19 +112,15 @@ class Assignment:
 
 def build_coverage_graph(instance: Instance) -> CoverageGraph:
     """Edge (k, i) present iff node i holds both inputs of function k."""
-    K = instance.k
     cells = instance.placement.cells
     j1, j2 = instance.workload.inputs.T
     # nonzero walks the (K, n) matrix row by row, so each function's nodes
     # come out ascending and the functions in order.
     ks, nodes = np.nonzero((cells[:, j1] & cells[:, j2]).T)
-    ends = np.cumsum(np.bincount(ks, minlength=K)).tolist()
-    nodes = nodes.tolist()
-    adjacency = tuple(tuple(nodes[a:b]) for a, b in zip([0] + ends[:-1], ends))
-    return CoverageGraph(k_functions=K, n_nodes=instance.n, adjacency=adjacency)
+    return CoverageGraph.from_edges(instance.k, instance.n, ks, nodes)
 
 
-def augment(adjacency, match_fn: list[int], match_node: list[int]) -> int:
+def augment(adjacency, match_fn: list[int], match_node: list[int], roots=None) -> int:
     """Grow a matching to maximum cardinality in place (Hopcroft-Karp).
 
     ``match_fn[k]`` is function k's node and ``match_node[i]`` node i's
@@ -85,12 +129,16 @@ def augment(adjacency, match_fn: list[int], match_node: list[int]) -> int:
     a matched function never becomes unmatched.  Adjacency lists must be
     sorted ascending; they are scanned in order, so ties always break toward
     the lowest node index and the result is deterministic.
+
+    ``roots`` are the free functions that have edges, ascending; a free
+    function without edges can never be matched, so it is neither a BFS
+    root nor a DFS start.  When None, all K functions are scanned for them;
+    a caller that tracks its free functions passes them to skip the scan.
     """
     K = len(adjacency)
     gained = 0
-    # A free function without edges can never be matched, so it is neither
-    # a BFS root nor a DFS start.
-    roots = [k for k, i in enumerate(match_fn) if i == _INF and adjacency[k]]
+    if roots is None:
+        roots = [k for k, i in enumerate(match_fn) if i == _INF and adjacency[k]]
     # Cheap greedy pass; Hopcroft-Karp phases then only clean up.
     for k in roots:
         for i in adjacency[k]:

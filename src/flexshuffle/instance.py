@@ -9,9 +9,8 @@ serialize to a line-oriented text format (see ``save_instance``).
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -94,44 +93,83 @@ class Placement:
         return hash((self._key(), self.cells.tobytes()))
 
 
+def _check_pairs(functions, d: int) -> None:
+    """The pair invariants one pair at a time, raising at the first
+    offending pair in order."""
+    seen = set()
+    counts: dict[int, int] = {}
+    for pair in functions:
+        j1, j2 = pair
+        if j1 == j2:
+            raise InvariantViolation("distinct-inputs", f"pair {pair}")
+        if j1 > j2:
+            raise InvariantViolation("pair-sorted", f"pair {pair} not (low, high)")
+        if pair in seen:
+            raise InvariantViolation("distinct-pairs", f"pair {pair} repeated")
+        seen.add(pair)
+        for j in pair:
+            counts[j] = counts.get(j, 0) + 1
+            if counts[j] > d:
+                raise InvariantViolation(
+                    "multiplicity-cap", f"message {j} used {counts[j]} > d={d} times"
+                )
+
+
+def _pair_array(functions) -> np.ndarray:
+    """``functions`` as a (K, 2) array, of Python ints when an index does
+    not fit in ``np.intp`` (``Instance`` then rejects it against m)."""
+    try:
+        inputs = np.array(functions, dtype=np.intp)
+    except OverflowError:
+        inputs = np.array(functions, dtype=object)
+    return inputs.reshape(len(functions), 2)
+
+
+def _pairs_valid(inputs: np.ndarray, d: int) -> bool:
+    """Whether the (K, 2) array meets every pair invariant, by array
+    operations: each row (low, high), no row repeated, no index in more
+    than d rows.  False only means the arrays did not prove it; an object
+    array is always left to ``_check_pairs``."""
+    if inputs.dtype == object:
+        return False
+    j1, j2 = inputs.T
+    if (j1 >= j2).any():
+        return False
+    # An index used more than d times fills d + 1 consecutive sorted slots.
+    flat = np.sort(inputs, axis=None)
+    if d < flat.size and (flat[d:] == flat[:-d]).any():
+        return False
+    order = np.lexsort((j2, j1))
+    low, high = j1[order], j2[order]
+    return not ((low[1:] == low[:-1]) & (high[1:] == high[:-1])).any()
+
+
 @dataclass(frozen=True)
 class FunctionSet:
-    """K unordered pairs of distinct message indices, each index used <= d times."""
+    """K unordered pairs of distinct message indices, each index used <= d times.
+
+    ``inputs`` is the read-only (K, 2) index array of the same pairs: row k
+    holds function k's inputs.  It is built once, and the invariants are
+    checked on it; only a set that fails them is walked pair by pair, to
+    name the first offending pair.
+    """
 
     functions: tuple[tuple[int, int], ...]
     d: int
+    inputs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1:
             raise InvariantViolation("multiplicity-cap-positive", f"d={self.d}")
-        seen = set()
-        counts: dict[int, int] = {}
-        for pair in self.functions:
-            j1, j2 = pair
-            if j1 == j2:
-                raise InvariantViolation("distinct-inputs", f"pair {pair}")
-            if j1 > j2:
-                raise InvariantViolation("pair-sorted", f"pair {pair} not (low, high)")
-            if pair in seen:
-                raise InvariantViolation("distinct-pairs", f"pair {pair} repeated")
-            seen.add(pair)
-            for j in pair:
-                counts[j] = counts.get(j, 0) + 1
-                if counts[j] > self.d:
-                    raise InvariantViolation(
-                        "multiplicity-cap", f"message {j} used {counts[j]} > d={self.d} times"
-                    )
+        inputs = _pair_array(self.functions)
+        if not _pairs_valid(inputs, self.d):
+            _check_pairs(self.functions, self.d)
+        inputs.flags.writeable = False
+        object.__setattr__(self, "inputs", inputs)
 
     @property
     def k(self) -> int:
         return len(self.functions)
-
-    @functools.cached_property
-    def inputs(self) -> np.ndarray:
-        """Read-only (K, 2) index array: row k holds function k's inputs."""
-        inputs = np.array(self.functions, dtype=np.intp).reshape(-1, 2)
-        inputs.flags.writeable = False
-        return inputs
 
     def used_messages(self) -> frozenset[int]:
         return frozenset(j for pair in self.functions for j in pair)
@@ -145,13 +183,13 @@ class Instance:
     workload: FunctionSet
 
     def __post_init__(self):
-        for pair in self.workload.functions:
-            for j in pair:
-                if j >= self.placement.m:
-                    raise InvariantViolation(
-                        "workload-index-range",
-                        f"function input {j} >= m={self.placement.m}",
-                    )
+        inputs, m = self.workload.inputs, self.placement.m
+        if inputs.size and (inputs.min() < 0 or inputs.max() >= m):
+            j = next(j for j in inputs.ravel().tolist() if not 0 <= j < m)
+            raise InvariantViolation(
+                "workload-index-range",
+                f"function input {j} >= m={m}" if j >= m else f"function input {j} < 0",
+            )
 
     @property
     def m(self) -> int:

@@ -150,6 +150,7 @@ def min_raw_broadcasts(instance: Instance, budget: int = 8) -> UncodedPlan:
     lacks, nodes, users = _input_tables(instance)
     held_by_all = instance.placement.cells.all(axis=0).tolist()
     candidates = sorted(j for j in users if not held_by_all[j])
+    free = [k for k, i in enumerate(match_fn) if i == -1]
     for size in range(1, min(budget, len(candidates)) + 1):
         for combo in itertools.combinations(candidates, size):
             gains = _gains(combo, lacks, nodes, users)
@@ -157,8 +158,10 @@ def min_raw_broadcasts(instance: Instance, budget: int = 8) -> UncodedPlan:
             # path a new edge at a function of its own (see greedy).
             if len(gains) < K - matched:
                 continue
+            trial = _grown(adjacency, gains)
+            roots = [k for k in free if trial[k]]
             trial_fn = match_fn.copy()
-            gained = augment(_grown(adjacency, gains), trial_fn, match_node.copy())
+            gained = augment(trial, trial_fn, match_node.copy(), roots)
             if matched + gained == K:
                 return _plan(instance, combo, trial_fn, K - matched)
     raise BudgetExceeded(budget)
@@ -185,7 +188,8 @@ def greedy_raw_broadcasts(instance: Instance) -> UncodedPlan:
     lacks, nodes, users = _input_tables(instance)
     broadcast: set[int] = set()
     while matched < K:
-        pool = sorted({j for k in range(K) if match_fn[k] == -1 for j in functions[k]} - broadcast)
+        free = [k for k in range(K) if match_fn[k] == -1]
+        pool = sorted({j for k in free for j in functions[k]} - broadcast)
         best_gain, best_j = -1, None
         for j in pool:
             gains = _gains((j,), lacks, nodes, users)
@@ -194,7 +198,9 @@ def greedy_raw_broadcasts(instance: Instance) -> UncodedPlan:
             # with one; a candidate that cannot beat the best is not scored.
             if len(gains) <= best_gain:
                 continue
-            gain = augment(_grown(adjacency, gains), match_fn.copy(), match_node.copy())
+            trial = _grown(adjacency, gains)
+            roots = [k for k in free if trial[k]]
+            gain = augment(trial, match_fn.copy(), match_node.copy(), roots)
             if gain > best_gain:
                 best_gain, best_j = gain, j
                 # No gain exceeds K - matched and only a strictly larger

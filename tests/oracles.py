@@ -202,3 +202,29 @@ def brute_coded_count(instance):
         if count is not None and (best is None or count < best):
             best = count
     return best
+
+
+def pair_fault(functions, d: int):
+    """``(invariant, detail)`` of the first rule a workload breaks, or None.
+
+    The pair rules are walked pair by pair, in the order the workload lists
+    them, as ``FunctionSet`` once checked them itself.
+    """
+    if d < 1:
+        return "multiplicity-cap-positive", f"d={d}"
+    seen = set()
+    counts: dict[int, int] = {}
+    for pair in functions:
+        j1, j2 = pair
+        if j1 == j2:
+            return "distinct-inputs", f"pair {pair}"
+        if j1 > j2:
+            return "pair-sorted", f"pair {pair} not (low, high)"
+        if pair in seen:
+            return "distinct-pairs", f"pair {pair} repeated"
+        seen.add(pair)
+        for j in pair:
+            counts[j] = counts.get(j, 0) + 1
+            if counts[j] > d:
+                return "multiplicity-cap", f"message {j} used {counts[j]} > d={d} times"
+    return None

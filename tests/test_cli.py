@@ -178,6 +178,15 @@ def test_solve_parse_error_exit_code(tmp_path, capsys):
     assert code == cli.EXIT_PARSE
 
 
+def test_solve_negative_index_exit_code(tmp_path, capsys):
+    path = tmp_path / "negative.txt"
+    path.write_text(instance_to_text(demo_instance()).replace("func 3 4", "func -1 4"))
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == cli.EXIT_PARSE
+    assert "workload-index-range: function input -1 < 0" in err
+    assert out == ""
+
+
 def test_solve_missing_file_exit_code(tmp_path, capsys):
     code, out, err = run(capsys, "solve", str(tmp_path / "missing.txt"))
     assert code == cli.EXIT_USAGE

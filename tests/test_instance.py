@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import side_sets
+from oracles import pair_fault, side_sets
 
 from flexshuffle.errors import Infeasible, InvariantViolation, ParseError
 from flexshuffle.instance import (
@@ -146,6 +146,62 @@ def test_function_set_rejects_duplicates():
         FunctionSet(functions=((0, 1), (0, 2)), d=1)
 
 
+@pytest.mark.parametrize(
+    "functions, d, invariant, detail",
+    [
+        (((0, 1),), 0, "multiplicity-cap-positive", "d=0"),
+        (((0, 1), (2, 2)), 3, "distinct-inputs", "pair (2, 2)"),
+        (((0, 1), (3, 2)), 3, "pair-sorted", "pair (3, 2) not (low, high)"),
+        (((0, 1), (1, 2), (0, 1)), 3, "distinct-pairs", "pair (0, 1) repeated"),
+        (((0, 1), (0, 2)), 1, "multiplicity-cap", "message 0 used 2 > d=1 times"),
+        # (0, 2) both repeats a pair and uses message 0 a third time: the
+        # pair rules come first.
+        (((0, 1), (0, 2), (0, 2)), 2, "distinct-pairs", "pair (0, 2) repeated"),
+        # (3, 0) both is unsorted and uses message 0 a third time.
+        (((0, 1), (0, 2), (3, 0)), 2, "pair-sorted", "pair (3, 0) not (low, high)"),
+        # The first offending pair in order wins, whatever its rule: (0, 3)
+        # breaks the cap before (5, 4) breaks the sort.
+        (((0, 1), (0, 2), (0, 3), (5, 4)), 2, "multiplicity-cap", "message 0 used 3 > d=2 times"),
+    ],
+)
+def test_function_set_names_first_offending_pair(functions, d, invariant, detail):
+    with pytest.raises(InvariantViolation) as err:
+        FunctionSet(functions=functions, d=d)
+    assert (err.value.invariant, err.value.detail) == (invariant, detail)
+    assert pair_fault(functions, d) == (invariant, detail)
+
+
+_any_pair = st.tuples(st.integers(-2, 5), st.integers(-2, 5))
+_pair_lists = st.one_of(
+    st.lists(_any_pair, max_size=8),
+    st.lists(_any_pair.filter(lambda pair: pair[0] < pair[1]), max_size=8, unique=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_lists, st.integers(1, 3))
+def test_function_set_check_matches_pairwise_reference(pairs, d):
+    functions = tuple(pairs)
+    fault = pair_fault(functions, d)
+    if fault is None:
+        fs = FunctionSet(functions=functions, d=d)
+        assert fs.inputs.shape == (len(functions), 2)
+        assert fs.inputs.tolist() == [list(pair) for pair in functions]
+    else:
+        with pytest.raises(InvariantViolation) as err:
+            FunctionSet(functions=functions, d=d)
+        assert (err.value.invariant, err.value.detail) == fault
+
+
+def test_function_set_inputs_built_once():
+    fs = FunctionSet(functions=((0, 3), (1, 2)), d=1)
+    assert fs.inputs is fs.inputs
+    assert fs.inputs.tolist() == [[0, 3], [1, 2]]
+    assert not fs.inputs.flags.writeable
+    assert FunctionSet(functions=(), d=1).inputs.shape == (0, 2)
+    assert fs == FunctionSet(functions=((0, 3), (1, 2)), d=1)
+
+
 def test_placement_rejects_out_of_range():
     with pytest.raises(InvariantViolation):
         Placement.from_sets(m=3, n=1, side_info=(frozenset({3}),))
@@ -196,6 +252,24 @@ def test_instance_rejects_workload_out_of_range():
         )
 
 
+@pytest.mark.parametrize(
+    "functions, detail",
+    [
+        (((0, 5),), "function input 5 >= m=3"),
+        (((-1, 2),), "function input -1 < 0"),
+        (((0, 1), (1, 7), (-2, 0)), "function input 7 >= m=3"),
+        (((0, 10**30),), f"function input {10**30} >= m=3"),
+    ],
+)
+def test_instance_names_out_of_range_input(functions, detail):
+    with pytest.raises(InvariantViolation) as err:
+        Instance(
+            placement=Placement.from_sets(m=3, n=1, side_info=(frozenset(),)),
+            workload=FunctionSet(functions=functions, d=2),
+        )
+    assert (err.value.invariant, err.value.detail) == ("workload-index-range", detail)
+
+
 def test_save_load_round_trip(tmp_path):
     inst = demo_instance()
     path = tmp_path / "demo.txt"
@@ -230,6 +304,14 @@ def test_load_rejects_out_of_range_index():
     with pytest.raises(InvariantViolation) as err:
         instance_from_text(text)
     assert "range" in str(err.value)
+
+
+def test_load_rejects_negative_index():
+    text = instance_to_text(demo_instance()).replace("func 3 4", "func -1 4")
+    with pytest.raises(InvariantViolation) as err:
+        instance_from_text(text)
+    assert err.value.invariant == "workload-index-range"
+    assert err.value.detail == "function input -1 < 0"
 
 
 def test_load_parse_errors_carry_line_numbers():
