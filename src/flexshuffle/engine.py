@@ -13,6 +13,7 @@ set-intersection oracle in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import gf2
 from .coverage import Assignment
@@ -34,8 +35,23 @@ class MessagePayload:
     def __post_init__(self):
         if tuple(sorted(set(self.friends))) != self.friends:
             raise InvariantViolation("friends-sorted-unique", f"{self.friends}")
+        # The codec splits the content at the first ":" and then at every
+        # ",", so these would come back as a different payload.
+        if ":" in self.owner:
+            raise InvariantViolation("owner-separator", f"owner {self.owner!r} contains ':'")
+        if PAYLOAD_SEPARATOR in "".join(self.friends):
+            raise InvariantViolation(
+                "friend-separator", f"a friend in {self.friends} contains {PAYLOAD_SEPARATOR!r}"
+            )
+        if self.friends == ("",):
+            raise InvariantViolation("friends-lone-empty", "one empty friend reads back as none")
 
     def content(self) -> bytes:
+        return self._content
+
+    @cached_property
+    def _content(self) -> bytes:
+        # payloads are immutable and shared by every plan of a solve
         return (self.owner + ":" + PAYLOAD_SEPARATOR.join(self.friends)).encode("utf-8")
 
 
@@ -189,44 +205,70 @@ def transmissions_from_coded_plan(
     return _message_transmissions(instance, payloads, list(zip(plan.broadcasts, plan.senders)))
 
 
-def _decode_node(held, encoded, transmissions, names, width: int):
-    """Messages a node can recover by GF(2) elimination over what it heard.
+def _heard_rows(transmissions, contents, width: int, n_msgs: int):
+    """The parts of every node's augmented rows that do not depend on the node.
+
+    Each raw or coded transmission t becomes the row of its payload and its
+    provenance bit ``tx{t}``; a node then XORs in, for each support message
+    j, either its unknown bit j or, when it holds j, ``local[j]``: the
+    encoding of j and its provenance bit ``local{j}``.  ``contents`` maps
+    each message to its content bytes.  Bits are laid out as in
+    ``_decode_node``.  Returns (heard, local): heard lists (support, row)
+    per raw or coded transmission in order, and local covers exactly the
+    messages named in some support.
+    """
+    local_at = n_msgs + len(transmissions)
+    payload_at = local_at + n_msgs
+    heard = [
+        (tx.support, int.from_bytes(tx.data, "big") << payload_at | 1 << (n_msgs + t))
+        for t, tx in enumerate(transmissions)
+        if tx.kind != "intermediate"
+    ]
+    local = {
+        j: int.from_bytes(_framed(contents[j], width), "big") << payload_at | 1 << (local_at + j)
+        for j in {j for support, _ in heard for j in support}
+    }
+    return heard, local
+
+
+def _decode_node(held, heard, local, wanted, names, width: int):
+    """The ``wanted`` messages a node recovers by GF(2) elimination over
+    what it heard.
 
     Each raw or coded transmission becomes one augmented row: the XOR of
     the bits of its messages the node lacks (one bit per message), so a
     message repeated in the support cancels as its payload does, then
     provenance bits for the transmission and for each local message XORed
     out of it, then the payload.  ``held[j]`` is true when the node holds
-    message j, ``encoded`` maps each held message to its encoding as an
-    int, and ``names[b]`` names provenance bit b: ``tx{t}`` for each
-    transmission, then ``local{j}`` for each message.
-    Returns {message: (payload, provenance string)}.
+    message j, ``heard`` and ``local`` come from ``_heard_rows``, and
+    ``names[b]`` names provenance bit b: ``tx{t}`` for each transmission,
+    then ``local{j}`` for each message.  Every heard row is eliminated, so
+    a recovered message's provenance does not depend on ``wanted``.
+    Returns {message: (payload, provenance string)} for each wanted
+    message in the span.
     """
     n_msgs = len(held)
-    local_at = n_msgs + len(transmissions)
-    payload_at = local_at + n_msgs
+    payload_at = n_msgs + len(names)
     basis: dict[int, int] = {}
-    for t, tx in enumerate(transmissions):
-        if tx.kind == "intermediate":
-            continue
-        row = int.from_bytes(tx.data, "big") << payload_at | 1 << (n_msgs + t)
-        for j in tx.support:
-            if held[j]:
-                row ^= encoded[j] << payload_at | 1 << (local_at + j)
-            else:
-                row ^= 1 << j
+    for support, row in heard:
+        for j in support:
+            row ^= local[j] if held[j] else 1 << j
         gf2.insert(basis, row, n_msgs)
     decoded = {}
-    for pivot, row in basis.items():
-        if row & ((1 << n_msgs) - 1) == pivot:
-            prov = row >> n_msgs & ((1 << len(names)) - 1)
-            via = []
-            while prov:
-                low = prov & -prov
-                via.append(names[low.bit_length() - 1])
-                prov ^= low
-            data = (row >> payload_at).to_bytes(width, "big")
-            decoded[pivot.bit_length() - 1] = (decode_payload(data), "+".join(sorted(via)))
+    for j in wanted:
+        row = basis.get(1 << j)
+        # the basis is fully reduced, so j is in the span exactly when the
+        # row with pivot j has no other unknown bit
+        if row is None or row & ((1 << n_msgs) - 1) != 1 << j:
+            continue
+        prov = row >> n_msgs & ((1 << len(names)) - 1)
+        via = []
+        while prov:
+            low = prov & -prov
+            via.append(names[low.bit_length() - 1])
+            prov ^= low
+        data = (row >> payload_at).to_bytes(width, "big")
+        decoded[j] = (decode_payload(data), "+".join(sorted(via)))
     return decoded
 
 
@@ -238,10 +280,12 @@ def run_plan(
 ) -> Transcript:
     """Execute a shuffle plan and reduce every assigned function.
 
-    Each assigned node recovers its missing inputs from the broadcasts (XOR
-    elimination against its own side information), then intersects the two
-    friend sets.  Raises DecodeFailure listing every (node, function,
-    message) triple that cannot be recovered.
+    Each assigned node reads the inputs it holds from the payloads and
+    recovers the ones it lacks from the broadcasts (XOR elimination against
+    its own side information), then intersects the two friend sets.  A
+    node that holds both inputs runs no elimination.  Raises DecodeFailure
+    listing every (node, function, message) triple that cannot be
+    recovered.
     """
     if sorted(k for k, _ in assignment.pairs) != list(range(instance.k)):
         raise InvariantViolation("assignment-total", "every function needs a node")
@@ -256,17 +300,20 @@ def run_plan(
             raise InvariantViolation(
                 "transmission-width", f"raw and coded data must be {width} bytes"
             )
-    encoded = {j: int.from_bytes(_framed(c, width), "big") for j, c in contents.items()}
+    heard, local = _heard_rows(transcript.transmissions, contents, width, instance.m)
     rows = instance.placement.cells.tolist()
     names = [f"tx{t}" for t in range(len(transmissions))]
     names += [f"local{j}" for j in range(instance.m)]
     failures = []
     results: dict[int, tuple[str, ...]] = {}
     for k, i in assignment.pairs:
-        decoded = _decode_node(rows[i], encoded, transcript.transmissions, names, width)
+        held = rows[i]
+        pair = instance.workload.functions[k]
+        lacked = [j for j in pair if not held[j]]
+        decoded = _decode_node(held, heard, local, lacked, names, width) if lacked else {}
         inputs = []
-        for slot, j in enumerate(instance.workload.functions[k]):
-            if rows[i][j]:
+        for slot, j in enumerate(pair):
+            if held[j]:
                 inputs.append(payloads[j].friends)
             elif j in decoded:
                 payload, via = decoded[j]

@@ -228,7 +228,8 @@ def generate_functions(m: int, K: int, d: int, seed: int) -> FunctionSet:
 
     Uniform rejection sampling: draw pairs, reject duplicates and pairs that
     would push a message past the cap, and restart from scratch after
-    1000*K consecutive failures.  Deterministic in (m, K, d, seed).
+    1000*K rejections since the last restart (accepted pairs do not reset
+    the count).  Deterministic in (m, K, d, seed).
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")

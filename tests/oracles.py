@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import itertools
 
+from flexshuffle.engine import Transcript, decode_payload, encode_payload
+from flexshuffle.errors import DecodeFailure, InvariantViolation
+
 
 def side_sets(placement):
     """Per node, the frozenset of messages it holds, read cell by cell."""
@@ -228,3 +231,96 @@ def pair_fault(functions, d: int):
             if counts[j] > d:
                 return "multiplicity-cap", f"message {j} used {counts[j]} > d={d} times"
     return None
+
+
+def eager_run_plan(instance, payloads, transmissions, assignment):
+    """``engine.run_plan`` as it once ran: every assigned node eliminates
+    over every raw or coded broadcast and decodes every message in its
+    span, and the reduce phase then reads what it needs.
+
+    Kept as the reference that the lazy decoder's transcripts and failures
+    must equal byte for byte.  It shares no decoding code with the engine:
+    the row reduction below is a copy of ``gf2.insert``'s, because the
+    provenance strings depend on its order.
+    """
+    if sorted(k for k, _ in assignment.pairs) != list(range(instance.k)):
+        raise InvariantViolation("assignment-total", "every function needs a node")
+    width = 2 + max(len(p.content()) for p in payloads.values())
+    transcript = Transcript(transmissions=list(transmissions))
+    received = {}
+    for t, tx in enumerate(transcript.transmissions):
+        if tx.kind == "intermediate":
+            received[tx.support] = t
+        elif len(tx.data) != width:
+            raise InvariantViolation(
+                "transmission-width", f"raw and coded data must be {width} bytes"
+            )
+    encoded = {j: int.from_bytes(encode_payload(p, width), "big") for j, p in payloads.items()}
+    rows = instance.placement.cells.tolist()
+    names = [f"tx{t}" for t in range(len(transmissions))]
+    names += [f"local{j}" for j in range(instance.m)]
+    failures, results = [], {}
+    for k, i in assignment.pairs:
+        decoded = _eager_decode(rows[i], encoded, transcript.transmissions, names, width)
+        inputs = []
+        for slot, j in enumerate(instance.workload.functions[k]):
+            if rows[i][j]:
+                inputs.append(payloads[j].friends)
+            elif j in decoded:
+                payload, via = decoded[j]
+                transcript.decodes.append((i, k, j, via))
+                inputs.append(payload.friends)
+            elif (k, slot) in received:
+                t = received[(k, slot)]
+                transcript.decodes.append((i, k, j, f"tx{t}"))
+                inputs.append(decode_payload(transcript.transmissions[t].data).friends)
+            else:
+                failures.append((i, k, j))
+                inputs = None
+                break
+        if inputs is not None:
+            results[k] = tuple(sorted(set(inputs[0]) & set(inputs[1])))
+    if failures:
+        raise DecodeFailure(failures)
+    transcript.outputs = results
+    return transcript
+
+
+def _eager_decode(held, encoded, transmissions, names, width):
+    """Every message one node recovers: {message: (payload, provenance)}."""
+    n_msgs = len(held)
+    local_at = n_msgs + len(transmissions)
+    payload_at = local_at + n_msgs
+    basis = {}
+    for t, tx in enumerate(transmissions):
+        if tx.kind == "intermediate":
+            continue
+        row = int.from_bytes(tx.data, "big") << payload_at | 1 << (n_msgs + t)
+        for j in tx.support:
+            if held[j]:
+                row ^= encoded[j] << payload_at | 1 << (local_at + j)
+            else:
+                row ^= 1 << j
+        for pivot, b in basis.items():
+            if row & pivot:
+                row ^= b
+        coef = row & ((1 << n_msgs) - 1)
+        if not coef:
+            continue
+        pivot = coef & -coef
+        for p, b in basis.items():
+            if b & pivot:
+                basis[p] = b ^ row
+        basis[pivot] = row
+    decoded = {}
+    for pivot, row in basis.items():
+        if row & ((1 << n_msgs) - 1) == pivot:
+            prov = row >> n_msgs & ((1 << len(names)) - 1)
+            via = []
+            while prov:
+                low = prov & -prov
+                via.append(names[low.bit_length() - 1])
+                prov ^= low
+            data = (row >> payload_at).to_bytes(width, "big")
+            decoded[pivot.bit_length() - 1] = (decode_payload(data), "+".join(sorted(via)))
+    return decoded

@@ -1,8 +1,11 @@
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import eager_run_plan
+
+import flexshuffle.engine as engine
 
 from flexshuffle.coding import best_coded_plan
 from flexshuffle.coverage import Assignment, build_coverage_graph, hopcroft_karp
@@ -28,6 +31,7 @@ from flexshuffle.instance import (
     demo_instance,
     generate_functions,
     generate_placement,
+    random_instance,
 )
 from flexshuffle.shuffle import (
     greedy_raw_broadcasts,
@@ -52,6 +56,38 @@ def test_payload_codec_round_trip(owner, friends):
 def test_codec_empty_friend_set():
     payload = MessagePayload(owner="Z", friends=())
     assert decode_payload(encode_payload(payload, 16)) == payload
+
+
+@pytest.mark.parametrize(
+    "owner, friends, invariant",
+    [
+        ("a:b", ("x",), "owner-separator"),  # would read back as ("a", ("b:x",))
+        ("A", ("x,y",), "friend-separator"),  # would read back as ("x", "y")
+        ("A", ("",), "friends-lone-empty"),  # would read back as ()
+    ],
+)
+def test_payload_rejects_what_the_codec_would_change(owner, friends, invariant):
+    with pytest.raises(InvariantViolation) as err:
+        MessagePayload(owner=owner, friends=friends)
+    assert err.value.invariant == invariant
+
+
+separator_symbols = st.text(alphabet="Ab:,", max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(owner=separator_symbols, friends=st.frozensets(separator_symbols, max_size=4))
+def test_accepted_payloads_round_trip(owner, friends):
+    try:
+        payload = MessagePayload(owner=owner, friends=tuple(sorted(friends)))
+    except InvariantViolation:
+        return
+    assert decode_payload(encode_payload(payload, len(payload.content()) + 2)) == payload
+
+
+def test_payload_content_is_built_once():
+    payload = demo_payloads()[0]
+    assert payload.content() is payload.content()
 
 
 def test_oracle_values():
@@ -246,3 +282,65 @@ def test_run_plan_builds_each_content_once(monkeypatch):
     monkeypatch.setattr(MessagePayload, "content", lambda self: calls.append(1) or content(self))
     run_plan(inst, payloads, transmissions, demo_assignment())
     assert len(calls) == inst.m
+
+
+def plan_outcome(run, inst, payloads, transmissions, assignment):
+    try:
+        return run(inst, payloads, transmissions, assignment).render()
+    except DecodeFailure as err:
+        return err.failures
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    shape=st.sampled_from([(6, 4, 2), (7, 5, 3), (6, 5, 3)]),
+    p=st.sampled_from([0.3, 0.45]),
+    data=st.data(),
+)
+def test_lazy_decoder_matches_eager_reference(seed, shape, p, data):
+    m, n, K = shape
+    inst = random_instance(m, n, K, 2, p, seed)
+    assume(not missing_messages(inst))
+    payloads = synthetic_payloads(m, seed)
+    plans = [
+        (transmissions_from_uncoded_plan, min_raw_broadcasts(inst, budget=8)),
+        (transmissions_from_intermediate_plan, min_intermediate_broadcasts(inst)),
+        (transmissions_from_coded_plan, best_coded_plan(inst)),
+    ]
+    for build, plan in plans:
+        txs = build(inst, payloads, plan)
+        # a plan with broadcasts dropped fails on some nodes, which checks
+        # the failures and their order too
+        kept = [tx for tx in txs if data.draw(st.booleans())]
+        for sent in (txs, kept):
+            assert plan_outcome(run_plan, inst, payloads, sent, plan.assignment) == plan_outcome(
+                eager_run_plan, inst, payloads, sent, plan.assignment
+            )
+
+
+def test_nodes_holding_both_inputs_run_no_elimination(monkeypatch):
+    from flexshuffle.instance import FunctionSet, Placement
+
+    # node 0 holds both inputs of function 0; node 1 lacks input 0 of
+    # function 1 and hears it from node 0
+    inst = Instance(
+        placement=Placement.from_sets(m=3, n=2, side_info=(frozenset({0, 1}), frozenset({1, 2}))),
+        workload=FunctionSet(functions=((0, 1), (0, 2)), d=2),
+    )
+    payloads = synthetic_payloads(inst.m, 0)
+    calls = []
+    decode = engine._decode_node
+
+    def counted(held, heard, local, wanted, names, width):
+        calls.append((held, list(wanted)))
+        return decode(held, heard, local, wanted, names, width)
+
+    monkeypatch.setattr(engine, "_decode_node", counted)
+    transcript = run_plan(
+        inst, payloads, [coded_transmission(inst, payloads, 0, (0,))],
+        Assignment(pairs=((0, 0), (1, 1))),
+    )
+    assert calls == [([False, True, True], [0])]
+    assert decoded_inputs(transcript) == [(1, 1, 0)]
+    assert_outputs_match_oracle(inst, payloads, transcript)

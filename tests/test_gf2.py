@@ -10,6 +10,7 @@ from flexshuffle.engine import (
     MessagePayload,
     Transmission,
     _decode_node,
+    _heard_rows,
     demo_payloads,
     encode_payload,
     payload_width,
@@ -88,10 +89,12 @@ def test_decoder_recovers_exactly_the_span(case):
         for j in support:
             data = xor(data, raw[j])
         transmissions.append(Transmission(sender=0, kind="coded", support=support, data=data))
-    encoded = {j: int.from_bytes(b, "big") for j, b in raw.items()}
+    contents = {j: p.content() for j, p in payloads.items()}
+    heard, local = _heard_rows(transmissions, contents, width, m)
     held = [j in side for j in range(m)]
     names = [f"tx{t}" for t in range(len(transmissions))] + [f"local{j}" for j in range(m)]
-    decoded = _decode_node(held, encoded, transmissions, names, width)
+    # ask for every message, so the span check below covers all of them
+    decoded = _decode_node(held, heard, local, range(m), names, width)
 
     heard = [reduce(int.__xor__, (1 << j for j in s if j not in side), 0) for s in supports]
     rank = rank_gf2(bit_lists(heard, m), m)

@@ -122,6 +122,12 @@ def test_generate_functions_deterministic():
     assert generate_functions(20, 8, 2, seed=3) == generate_functions(20, 8, 2, seed=3)
 
 
+def test_generate_functions_restart_is_pinned():
+    # This draw takes its first three pairs, then can only reject (every
+    # pair left is taken or capped) until 4000 rejections restart it.
+    assert generate_functions(4, 4, 2, seed=17).functions == ((0, 2), (2, 3), (1, 3), (0, 1))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_generate_functions_invariants(data):
