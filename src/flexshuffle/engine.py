@@ -33,17 +33,20 @@ class MessagePayload:
     friends: tuple[str, ...]
 
     def __post_init__(self):
-        if tuple(sorted(set(self.friends))) != self.friends:
-            raise InvariantViolation("friends-sorted-unique", f"{self.friends}")
+        # sorting an already sorted tuple is linear, so test order and
+        # uniqueness apart
+        friends = self.friends
+        if tuple(sorted(friends)) != friends or len(set(friends)) != len(friends):
+            raise InvariantViolation("friends-sorted-unique", f"{friends}")
         # The codec splits the content at the first ":" and then at every
         # ",", so these would come back as a different payload.
         if ":" in self.owner:
             raise InvariantViolation("owner-separator", f"owner {self.owner!r} contains ':'")
-        if PAYLOAD_SEPARATOR in "".join(self.friends):
+        if PAYLOAD_SEPARATOR in "".join(friends):
             raise InvariantViolation(
-                "friend-separator", f"a friend in {self.friends} contains {PAYLOAD_SEPARATOR!r}"
+                "friend-separator", f"a friend in {friends} contains {PAYLOAD_SEPARATOR!r}"
             )
-        if self.friends == ("",):
+        if friends == ("",):
             raise InvariantViolation("friends-lone-empty", "one empty friend reads back as none")
 
     def content(self) -> bytes:
@@ -328,7 +331,7 @@ def run_plan(
                 inputs = None
                 break
         if inputs is not None:
-            results[k] = tuple(sorted(set(inputs[0]) & set(inputs[1])))
+            results[k] = tuple(sorted(set(inputs[0]).intersection(inputs[1])))
     if failures:
         raise DecodeFailure(failures)
     transcript.outputs = results

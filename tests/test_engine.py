@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from oracles import eager_run_plan
 
 import flexshuffle.engine as engine
-
 from flexshuffle.coding import best_coded_plan
 from flexshuffle.coverage import Assignment, build_coverage_graph, hopcroft_karp
 from flexshuffle.engine import (
@@ -61,15 +60,30 @@ def test_codec_empty_friend_set():
 @pytest.mark.parametrize(
     "owner, friends, invariant",
     [
+        ("A", ("b", "a"), "friends-sorted-unique"),
+        ("A", ("a", "a"), "friends-sorted-unique"),
+        ("A", ["a"], "friends-sorted-unique"),  # a list, not a tuple
         ("a:b", ("x",), "owner-separator"),  # would read back as ("a", ("b:x",))
         ("A", ("x,y",), "friend-separator"),  # would read back as ("x", "y")
         ("A", ("",), "friends-lone-empty"),  # would read back as ()
     ],
 )
-def test_payload_rejects_what_the_codec_would_change(owner, friends, invariant):
+def test_payload_rejects_invalid_friend_lists(owner, friends, invariant):
     with pytest.raises(InvariantViolation) as err:
         MessagePayload(owner=owner, friends=friends)
     assert err.value.invariant == invariant
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from("abc"), max_size=4).map(tuple))
+def test_sorted_unique_check_matches_reference(friends):
+    try:
+        MessagePayload(owner="A", friends=friends)
+        rejected = False
+    except InvariantViolation as err:
+        assert err.invariant == "friends-sorted-unique"
+        rejected = True
+    assert rejected == (tuple(sorted(set(friends))) != friends)
 
 
 separator_symbols = st.text(alphabet="Ab:,", max_size=3)

@@ -90,11 +90,11 @@ def test_decoder_recovers_exactly_the_span(case):
             data = xor(data, raw[j])
         transmissions.append(Transmission(sender=0, kind="coded", support=support, data=data))
     contents = {j: p.content() for j, p in payloads.items()}
-    heard, local = _heard_rows(transmissions, contents, width, m)
+    shared, local = _heard_rows(transmissions, contents, width, m)
     held = [j in side for j in range(m)]
     names = [f"tx{t}" for t in range(len(transmissions))] + [f"local{j}" for j in range(m)]
     # ask for every message, so the span check below covers all of them
-    decoded = _decode_node(held, heard, local, range(m), names, width)
+    decoded = _decode_node(held, shared, local, range(m), names, width)
 
     heard = [reduce(int.__xor__, (1 << j for j in s if j not in side), 0) for s in supports]
     rank = rank_gf2(bit_lists(heard, m), m)
