@@ -179,6 +179,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _in_range(m: int, n: int, K: int, d: int, p_values) -> bool:
+    """m, n, d >= 1, K >= 0 and every p in [0, 1]; nan fails the test."""
+    return min(m, n, d) >= 1 and K >= 0 and all(0.0 <= p <= 1.0 for p in p_values)
+
+
 def cmd_gen(args) -> int:
     if args.demo:
         instance = demo_instance()
@@ -187,7 +192,7 @@ def cmd_gen(args) -> int:
             if getattr(args, field) is None:
                 print(f"gen: --{field} is required without --demo", file=sys.stderr)
                 return EXIT_USAGE
-        if not 0.0 <= args.p <= 1.0 or args.m < 1 or args.n < 1 or args.K < 0 or args.d < 1:
+        if not _in_range(args.m, args.n, args.K, args.d, [args.p]):
             print("gen: parameters out of range", file=sys.stderr)
             return EXIT_USAGE
         instance = random_instance(args.m, args.n, args.K, args.d, args.p, args.seed)
@@ -228,14 +233,17 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    C = args.fixed_nodes_per_function
-    if args.trials < 1 or C < 1 or (args.compare_fixed and args.K * C > args.n):
-        print("sweep: parameters out of range", file=sys.stderr)
-        return EXIT_USAGE
     try:
         p_values = [float(tok) for tok in args.p_values.split(",") if tok]
     except ValueError:
         print("sweep: --p-values must be comma-separated floats", file=sys.stderr)
+        return EXIT_USAGE
+    C = args.fixed_nodes_per_function
+    if (
+        args.trials < 1 or C < 1 or (args.compare_fixed and args.K * C > args.n)
+        or not _in_range(args.m, args.n, args.K, args.d, p_values)
+    ):
+        print("sweep: parameters out of range", file=sys.stderr)
         return EXIT_USAGE
     points = analysis.sweep(
         configs=[(args.m, args.n, args.K, args.d)],

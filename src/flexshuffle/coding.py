@@ -104,32 +104,39 @@ def _receivers(functions, held: list[int], pairs) -> list[tuple[int, int]]:
     return [(j, held[i]) for k, i in pairs for j in functions[k] if not held[i] >> j & 1]
 
 
+def _column_masks(columns, held) -> list[int]:
+    """Each held-message bitmask in ``held`` as a bitmask over ``columns``:
+    bit c is set when the messages include ``columns[c]``."""
+    masks = []
+    for h in held:
+        mask = 0
+        for c, j in enumerate(columns):
+            if h >> j & 1:
+                mask |= 1 << c
+        masks.append(mask)
+    return masks
+
+
 def build_fitting_matrix(receivers) -> FittingMatrix:
     """The fitting matrix of a sequence of (demand, held mask) receivers.
 
     Columns are the demanded messages in order of first appearance; a
-    receiver may not demand a message it holds.
+    receiver may not demand a negative message or one it holds.
     """
-    columns: list[int] = []
     col_of: dict[int, int] = {}
     for r, (demand, held) in enumerate(receivers):
+        if demand < 0:
+            raise InvariantViolation("demand-range", f"receiver {r} demands message {demand}")
         if held >> demand & 1:
             raise InvariantViolation(
                 "demand-not-held", f"receiver {r} demands {demand} it already holds"
             )
-        if demand not in col_of:
-            col_of[demand] = len(columns)
-            columns.append(demand)
-    demand_col, free = [], []
-    for demand, held in receivers:
-        demand_col.append(col_of[demand])
-        fm = 0
-        for j, c in col_of.items():
-            if held >> j & 1:
-                fm |= 1 << c
-        free.append(fm)
+        col_of.setdefault(demand, len(col_of))
+    columns = tuple(col_of)
     return FittingMatrix(
-        columns=tuple(columns), demand_col=tuple(demand_col), free=tuple(free)
+        columns=columns,
+        demand_col=tuple([col_of[demand] for demand, _ in receivers]),
+        free=tuple(_column_masks(columns, [held for _, held in receivers])),
     )
 
 
@@ -151,13 +158,9 @@ def _check_caps(fm: FittingMatrix, free_cap: int) -> None:
         raise CapExceeded("fitting-matrix columns", fm.n_cols, gf2.MAX_COLS)
 
 
-def _completions_by_rank(fm: FittingMatrix, free_cap: int):
-    """(rank, rows) of every completion, lowest rank first.
-
-    Raises CapExceeded (see ``_check_caps``) before any work.  Equal ranks
-    keep completion order.
-    """
-    _check_caps(fm, free_cap)
+def _completions_by_rank(fm: FittingMatrix):
+    """(rank, rows) of every completion, lowest rank first; equal ranks
+    keep completion order.  The caller checks the caps."""
     if fm.n_rows == 0:
         return iter([(0, ())])
     base = [1 << dc for dc in fm.demand_col]
@@ -171,9 +174,10 @@ def _completions_by_rank(fm: FittingMatrix, free_cap: int):
 def minrank_gf2(fm: FittingMatrix, free_cap: int = 20) -> MinrankResult:
     """Exhaustive minimum GF(2) rank over all 2^(#free) completions.
 
-    Raises CapExceeded when the matrix has more than ``free_cap`` free cells.
+    Raises CapExceeded (see ``_check_caps``) before any work.
     """
-    rank, witness = next(_completions_by_rank(fm, free_cap))
+    _check_caps(fm, free_cap)
+    rank, witness = next(_completions_by_rank(fm))
     return MinrankResult(rank=rank, witness=witness, n_cols=fm.n_cols)
 
 
@@ -205,29 +209,12 @@ def _has_acyclic_rows(fm: FittingMatrix, size: int) -> bool:
     return size <= fm.n_cols and grow(0, size)
 
 
-def _supportable_masks(columns, held: list[int]) -> np.ndarray:
-    """Boolean table over column bitmasks: v is sendable by some single node.
-
-    ``held`` gives each node's held messages as a bitmask over messages.
-    """
-    c = len(columns)
-    table = np.zeros(1 << c, dtype=bool)
-    node_masks = {sum(1 << ci for ci, j in enumerate(columns) if h >> j & 1) for h in held}
-    for nm in node_masks:
-        sub = nm
-        while True:
-            table[sub] = True
-            if sub == 0:
-                break
-            sub = (sub - 1) & nm
-    return table
-
-
-def _supportable_span(rows, n_cols: int, supp: np.ndarray) -> list[int] | None:
+def _supportable_span(rows, n_cols: int, node_cols) -> list[int] | None:
     """A sender-supportable basis of span(rows), or None if none exists.
 
-    Supportable span vectors are tried in increasing order and kept when
-    independent of those already kept.
+    A vector is supportable when it lies inside one of the column masks
+    ``node_cols``.  Span vectors are tried in increasing order and the
+    supportable ones kept when independent of those already kept.
     """
     basis = gf2.gf2_row_basis(rows, n_cols)
     span = [0]
@@ -235,21 +222,12 @@ def _supportable_span(rows, n_cols: int, supp: np.ndarray) -> list[int] | None:
         span += [v ^ b for v in span]
     picked: list[int] = []
     reduced: dict[int, int] = {}
-    for v in sorted(v for v in span if v and supp[v]):
+    for v in sorted(span):
         if len(picked) == len(basis):
             break
-        if gf2.insert(reduced, v, n_cols):
+        if v and any(v & ~nc == 0 for nc in node_cols) and gf2.insert(reduced, v, n_cols):
             picked.append(v)
     return picked if len(picked) == len(basis) else None
-
-
-def _message_mask(fm: FittingMatrix, v: int) -> int:
-    """The column bitmask ``v`` as a bitmask over messages."""
-    mask = 0
-    for c, j in enumerate(fm.columns):
-        if v >> c & 1:
-            mask |= 1 << j
-    return mask
 
 
 def _supported_minrank(fm: FittingMatrix, held: list[int], free_cap: int, below=None):
@@ -279,19 +257,18 @@ def _supported_minrank(fm: FittingMatrix, held: list[int], free_cap: int, below=
         demanded = 0
         for dc in fm.demand_col:
             demanded |= 1 << dc
-        if all(demanded & ~f == 1 << dc for dc, f in zip(fm.demand_col, fm.free)):
-            needed = _message_mask(fm, demanded)
-            if any(needed & ~h == 0 for h in held):
-                return 1, [demanded]
+        if all(demanded & ~f == 1 << dc for dc, f in zip(fm.demand_col, fm.free)) and any(
+            demanded & ~nc == 0 for nc in _column_masks(fm.columns, held)
+        ):
+            return 1, [demanded]
         return None, None
     if below is not None and below >= 3 and _has_acyclic_rows(fm, below):
         return None, None
-    completions = _completions_by_rank(fm, free_cap)
-    supp = _supportable_masks(fm.columns, held)
-    for rank, rows in completions:
+    node_cols = set(_column_masks(fm.columns, held))
+    for rank, rows in _completions_by_rank(fm):
         if below is not None and rank >= below:
             break
-        basis = _supportable_span(rows, fm.n_cols, supp)
+        basis = _supportable_span(rows, fm.n_cols, node_cols)
         if basis is not None:
             return rank, basis
     return None, None
@@ -308,7 +285,8 @@ def best_coded_plan(
     the fitting-matrix minrank of each induced index-coding instance
     (restricted to witnesses whose row space a set of single-node
     transmissions can span), and returns the first plan, in permutation
-    order, that reaches the least count.  Once a plan is known, each later
+    order, that reaches the least count.  Each set of receivers is searched
+    once, at its first assignment.  Once a plan is known, each later
     pattern is searched only for completions of rank below its count, so a
     pattern that cannot improve on it stops at the first completion that
     reaches it; with two transmissions known, the search for one is a
@@ -335,43 +313,38 @@ def best_coded_plan(
     functions = instance.workload.functions
     held = _held_masks(instance.placement.cells)
     best: CodedPlan | None = None
-    memo: dict[frozenset, tuple | None] = {}
+    seen: set[frozenset] = set()
     for nodes in itertools.permutations(range(n), K):
         if best is not None and best.count <= 1:
             # Some function is uncovered under every assignment, so one
             # transmission is already optimal.
             break
         # Equal receivers add equal rows, so assignments with the same set
-        # of them share one search.
+        # of them share one search.  A set searched before either found
+        # nothing below the count known then, or set that count; the count
+        # never rises, so it cannot win now.
         unique = tuple(dict.fromkeys(_receivers(functions, held, enumerate(nodes))))
         key = frozenset(unique)
-        if key in memo:
-            hit = memo[key]
-            if hit is None or (best is not None and hit[0] >= best.count):
-                continue
-            rank, basis, fm = hit
-        else:
-            fm = build_fitting_matrix(unique)
-            below = None if best is None else best.count
-            rank, basis = _supported_minrank(fm, held, free_cap, below)
-            # None means no supportable completion below the count known
-            # when the pattern was searched; the count never rises, so the
-            # pattern stays useless for the rest of the search.
-            memo[key] = None if rank is None else (rank, basis, fm)
-            if rank is None:
-                continue
-        if best is None or rank < best.count:
-            masks = [_message_mask(fm, v) for v in basis]
-            best = CodedPlan(
-                count=rank,
-                assignment=Assignment(pairs=tuple(enumerate(nodes))),
-                broadcasts=tuple(
-                    frozenset(j for j in fm.columns if b >> j & 1) for b in masks
-                ),
-                senders=tuple(
-                    min(i for i, h in enumerate(held) if b & ~h == 0) for b in masks
-                ),
-            )
+        if key in seen:
+            continue
+        seen.add(key)
+        fm = build_fitting_matrix(unique)
+        rank, basis = _supported_minrank(
+            fm, held, free_cap, None if best is None else best.count
+        )
+        if rank is None:
+            continue
+        node_cols = _column_masks(fm.columns, held)
+        best = CodedPlan(
+            count=rank,
+            assignment=Assignment(pairs=tuple(enumerate(nodes))),
+            broadcasts=tuple(
+                frozenset(j for c, j in enumerate(fm.columns) if v >> c & 1) for v in basis
+            ),
+            senders=tuple(
+                min(i for i, nc in enumerate(node_cols) if v & ~nc == 0) for v in basis
+            ),
+        )
     if best is None:
         raise Infeasible("no sender-supportable code exists for any assignment")
     return best

@@ -208,14 +208,14 @@ def transmissions_from_coded_plan(
     return _message_transmissions(instance, payloads, list(zip(plan.broadcasts, plan.senders)))
 
 
-def _heard_rows(transmissions, contents, width: int, n_msgs: int):
+def _heard_rows(transmissions, payloads, width: int, n_msgs: int):
     """The parts of every node's augmented rows that do not depend on the node.
 
     Each raw or coded transmission t becomes the row of its payload and its
     provenance bit ``tx{t}``; a node then XORs in, for each support message
     j, either its unknown bit j or, when it holds j, ``local[j]``: the
-    encoding of j and its provenance bit ``local{j}``.  ``contents`` maps
-    each message to its content bytes.  Bits are laid out as in
+    encoding of j and its provenance bit ``local{j}``.  ``payloads`` maps
+    each message to its payload.  Bits are laid out as in
     ``_decode_node``.  Returns (heard, local): heard lists (support, row)
     per raw or coded transmission in order, and local covers exactly the
     messages named in some support.
@@ -228,7 +228,8 @@ def _heard_rows(transmissions, contents, width: int, n_msgs: int):
         if tx.kind != "intermediate"
     ]
     local = {
-        j: int.from_bytes(_framed(contents[j], width), "big") << payload_at | 1 << (local_at + j)
+        j: int.from_bytes(_framed(payloads[j].content(), width), "big") << payload_at
+        | 1 << (local_at + j)
         for j in {j for support, _ in heard for j in support}
     }
     return heard, local
@@ -292,8 +293,7 @@ def run_plan(
     """
     if sorted(k for k, _ in assignment.pairs) != list(range(instance.k)):
         raise InvariantViolation("assignment-total", "every function needs a node")
-    contents = {j: p.content() for j, p in payloads.items()}
-    width = _LEN_BYTES + max(map(len, contents.values()))
+    width = payload_width(payloads)
     transcript = Transcript(transmissions=list(transmissions))
     received: dict[tuple[int, int], int] = {}  # (function, slot) -> intermediate tx index
     for t, tx in enumerate(transcript.transmissions):
@@ -303,7 +303,7 @@ def run_plan(
             raise InvariantViolation(
                 "transmission-width", f"raw and coded data must be {width} bytes"
             )
-    heard, local = _heard_rows(transcript.transmissions, contents, width, instance.m)
+    heard, local = _heard_rows(transcript.transmissions, payloads, width, instance.m)
     rows = instance.placement.cells.tolist()
     names = [f"tx{t}" for t in range(len(transmissions))]
     names += [f"local{j}" for j in range(instance.m)]

@@ -360,7 +360,9 @@ def test_config_file_failures_exit_with_usage(tmp_path, capsys, content):
 @pytest.mark.parametrize(
     "extra", [["--trials", "0"], ["--compare-fixed", "--fixed-nodes-per-function", "0"],
               ["--compare-fixed", "--fixed-nodes-per-function", "-1"],
-              ["--compare-fixed", "--fixed-nodes-per-function", "3"]],  # K*C = 9 > n
+              ["--compare-fixed", "--fixed-nodes-per-function", "3"],  # K*C = 9 > n
+              ["--p-values", "1.5,nan"], ["--p-values", "nan"], ["--p-values", "-0.1"],
+              ["--m", "0"], ["--n", "0"], ["--d", "0"], ["--K", "-1"]],
 )
 def test_sweep_rejects_out_of_range_counts(capsys, extra):
     args = ["sweep", "--m", "10", "--n", "8", "--K", "3", "--p-values", "0.5", "--trials", "5"]

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     brute_coded_count,
@@ -86,6 +86,13 @@ def test_receiver_cannot_demand_held_message():
     with pytest.raises(InvariantViolation) as err:
         build_fitting_matrix([(1, mask({1}))])
     assert err.value.invariant == "demand-not-held"
+
+
+def test_receiver_cannot_demand_a_negative_message():
+    with pytest.raises(InvariantViolation) as err:
+        build_fitting_matrix([(0, 0), (-1, 0)])
+    assert err.value.invariant == "demand-range"
+    assert err.value.detail == "receiver 1 demands message -1"
 
 
 def walkthrough_fitting_matrix():
@@ -253,6 +260,36 @@ def test_coded_search_refuses_without_ranking_every_pattern(monkeypatch):
     with pytest.raises(CapExceeded, match="^free cells: 22 exceeds cap 20$"):
         best_coded_plan(random_instance(10, 8, 5, 2, 0.3, seed=0))
     assert calls <= 50
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 10_000))
+def test_coded_senders_are_the_lowest_nodes_holding_each_broadcast(K, seed):
+    inst = random_instance(6, 4, K, 2, 0.35, seed=seed)
+    assume(not missing_messages(inst))
+    side = side_sets(inst.placement)
+    plan = best_coded_plan(inst)
+    for support, sender in zip(plan.broadcasts, plan.senders, strict=True):
+        assert support <= side[sender]
+        assert not any(support <= side[i] for i in range(sender))
+
+
+def test_each_receiver_set_is_searched_once(monkeypatch):
+    built = []
+    build = coding.build_fitting_matrix
+
+    def counted(receivers):
+        built.append(frozenset(receivers))
+        return build(receivers)
+
+    monkeypatch.setattr(coding, "build_fitting_matrix", counted)
+    for seed in range(40):
+        built.clear()
+        inst = random_instance(7, 5, 4, 2, 0.35, seed=seed)
+        if missing_messages(inst):
+            continue
+        best_coded_plan(inst)
+        assert len(built) == len(set(built))
 
 
 def test_optimal_coded_assignment_cap():

@@ -1,3 +1,4 @@
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -289,13 +290,16 @@ def test_demo_plan_transmission_invariants():
 
 
 def test_run_plan_builds_each_content_once(monkeypatch):
-    inst, payloads = demo_instance(), demo_payloads()
-    transmissions = demo_plan(inst, payloads)
-    calls = []
-    content = MessagePayload.content
-    monkeypatch.setattr(MessagePayload, "content", lambda self: calls.append(1) or content(self))
-    run_plan(inst, payloads, transmissions, demo_assignment())
-    assert len(calls) == inst.m
+    inst = demo_instance()
+    transmissions = demo_plan(inst, demo_payloads())
+    builds = []
+    build = MessagePayload._content.func
+    counted = cached_property(lambda self: builds.append(1) or build(self))
+    counted.__set_name__(MessagePayload, "_content")
+    monkeypatch.setattr(MessagePayload, "_content", counted)
+    # fresh payloads, so no content is cached before the run
+    run_plan(inst, demo_payloads(), transmissions, demo_assignment())
+    assert len(builds) == inst.m
 
 
 def plan_outcome(run, inst, payloads, transmissions, assignment):

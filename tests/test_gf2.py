@@ -89,8 +89,7 @@ def test_decoder_recovers_exactly_the_span(case):
         for j in support:
             data = xor(data, raw[j])
         transmissions.append(Transmission(sender=0, kind="coded", support=support, data=data))
-    contents = {j: p.content() for j, p in payloads.items()}
-    shared, local = _heard_rows(transmissions, contents, width, m)
+    shared, local = _heard_rows(transmissions, payloads, width, m)
     held = [j in side for j in range(m)]
     names = [f"tx{t}" for t in range(len(transmissions))] + [f"local{j}" for j in range(m)]
     # ask for every message, so the span check below covers all of them

@@ -79,3 +79,30 @@ def test_solves_go_through_one_pipeline(path):
 )
 def test_solver_calls_are_found(source, found):
     assert solver_calls(ast.parse(source)) == found
+
+
+def unused_private_defs(tree: ast.Module) -> list[str]:
+    """Module-level underscore functions and classes the module never names."""
+    defined = [
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+    ]
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in defined if name not in named]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_private_helpers_are_used_in_their_module(path):
+    assert unused_private_defs(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [("def _dead(): pass", ["_dead"]),
+     ("class _Dead: pass\ndef _used(): return 1\nx = _used()", ["_Dead"]),
+     ("def _outer():\n    def _inner(): pass\nf = _outer", []),
+     ("def __getattr__(name): pass", [])],
+)
+def test_unused_private_defs_are_found(source, found):
+    assert unused_private_defs(ast.parse(source)) == found
