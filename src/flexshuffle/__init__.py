@@ -67,14 +67,11 @@ from .errors import (
     Outage,
     ParseError,
 )
-from .gf2 import gf2_rank
 from .instance import (
     FunctionSet,
     Instance,
     Placement,
-    demo_functions,
     demo_instance,
-    demo_placement,
     derive_seeds,
     generate_functions,
     generate_placement,

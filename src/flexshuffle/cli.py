@@ -234,7 +234,7 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     try:
-        p_values = [float(tok) for tok in args.p_values.split(",") if tok]
+        p_values = [float(tok) for tok in args.p_values.split(",")]
     except ValueError:
         print("sweep: --p-values must be comma-separated floats", file=sys.stderr)
         return EXIT_USAGE

@@ -33,23 +33,14 @@ class FittingMatrix:
     """Cell pattern: 1 at each row's demand column, free inside side info, 0 elsewhere.
 
     ``columns`` lists the distinct demanded messages in order of first
-    appearance; ``free`` holds one column bitmask per row.
+    appearance; ``free`` holds one column bitmask per row.  A matrix from
+    ``build_fitting_matrix`` is valid by construction; ``minrank_gf2``
+    checks one built by hand.
     """
 
     columns: tuple[int, ...]
     demand_col: tuple[int, ...]
     free: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.demand_col) != len(self.free):
-            raise InvariantViolation("row-count")
-        for r, (dc, fm) in enumerate(zip(self.demand_col, self.free)):
-            if not 0 <= dc < len(self.columns):
-                raise InvariantViolation("demand-column-range", f"row {r}")
-            if fm >> len(self.columns):
-                raise InvariantViolation("free-mask-range", f"row {r}")
-            if fm & (1 << dc):
-                raise InvariantViolation("demand-cell-forced-one", f"row {r}")
 
     @property
     def n_rows(self) -> int:
@@ -69,17 +60,11 @@ class FittingMatrix:
             if fm & (1 << c)
         )
 
-    def cell(self, r: int, c: int) -> str:
-        if c == self.demand_col[r]:
-            return "one"
-        return "free" if self.free[r] & (1 << c) else "zero"
-
 
 @dataclass(frozen=True)
 class MinrankResult:
     rank: int
     witness: tuple[int, ...]  # row bitmasks over the fitting-matrix columns
-    n_cols: int
 
 
 @dataclass(frozen=True)
@@ -174,11 +159,23 @@ def _completions_by_rank(fm: FittingMatrix):
 def minrank_gf2(fm: FittingMatrix, free_cap: int = 20) -> MinrankResult:
     """Exhaustive minimum GF(2) rank over all 2^(#free) completions.
 
-    Raises CapExceeded (see ``_check_caps``) before any work.
+    The matrix may be built by hand, so its rows are checked first: one
+    free mask per row, each demand column and free bit inside the
+    columns, and no free cell at a row's own demand.  Raises CapExceeded
+    (see ``_check_caps``) before any work.
     """
+    if len(fm.demand_col) != len(fm.free):
+        raise InvariantViolation("row-count")
+    for r, (dc, f) in enumerate(zip(fm.demand_col, fm.free)):
+        if not 0 <= dc < fm.n_cols:
+            raise InvariantViolation("demand-column-range", f"row {r}")
+        if f >> fm.n_cols:
+            raise InvariantViolation("free-mask-range", f"row {r}")
+        if f & (1 << dc):
+            raise InvariantViolation("demand-cell-forced-one", f"row {r}")
     _check_caps(fm, free_cap)
     rank, witness = next(_completions_by_rank(fm))
-    return MinrankResult(rank=rank, witness=witness, n_cols=fm.n_cols)
+    return MinrankResult(rank=rank, witness=witness)
 
 
 def _has_acyclic_rows(fm: FittingMatrix, size: int) -> bool:

@@ -23,66 +23,14 @@ _INF = -1
 class CoverageGraph:
     """Bipartite adjacency: for each function, the nodes that cover it.
 
-    A hand-built graph is checked row by row; ``from_edges`` checks the
-    flat edge arrays instead, with array operations, and builds the rows
-    without checking them again.
+    Only ``build_coverage_graph`` builds one, from an already checked
+    ``Instance``, so each row is sorted and in range by construction and
+    is not checked again.
     """
 
     k_functions: int
     n_nodes: int
     adjacency: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.adjacency) != self.k_functions:
-            raise InvariantViolation("adjacency-length")
-        for k, nbrs in enumerate(self.adjacency):
-            if list(nbrs) != sorted(set(nbrs)):
-                raise InvariantViolation("adjacency-sorted", f"function {k}: {nbrs}")
-            if nbrs and (nbrs[0] < 0 or nbrs[-1] >= self.n_nodes):
-                raise InvariantViolation("node-index-range", f"function {k}: {nbrs}")
-
-    @classmethod
-    def from_edges(cls, k_functions: int, n_nodes: int, ks, nodes) -> CoverageGraph:
-        """The graph with edges ``(ks[t], nodes[t])``, which must be listed
-        function by function, each function's nodes strictly ascending."""
-        _check_edges(ks, nodes, k_functions, n_nodes)
-        ends = np.cumsum(np.bincount(ks, minlength=k_functions)).tolist()
-        nodes = nodes.tolist()
-        graph = object.__new__(cls)
-        object.__setattr__(graph, "k_functions", k_functions)
-        object.__setattr__(graph, "n_nodes", n_nodes)
-        object.__setattr__(
-            graph, "adjacency", tuple(tuple(nodes[a:b]) for a, b in zip([0] + ends[:-1], ends))
-        )
-        return graph
-
-
-def _check_edges(ks: np.ndarray, nodes: np.ndarray, K: int, n: int) -> None:
-    """Raise what a hand-built graph of these edges would raise.
-
-    With every node in [0, n), the edges are listed function by function
-    with each function's nodes strictly ascending exactly when ``ks * n +
-    nodes`` strictly ascends.  Only edges that fail this are sorted into
-    rows, so the row check can name the first bad function.
-    """
-    if not ks.size or (
-        0 <= ks[0]
-        and ks[-1] < K
-        and 0 <= nodes.min()
-        and nodes.max() < n
-        and (np.diff(ks * n + nodes) > 0).all()
-    ):
-        return
-    if (np.diff(ks) < 0).any():
-        raise InvariantViolation("adjacency-sorted", "edges not listed function by function")
-    if ks[0] < 0 or ks[-1] >= K:
-        raise InvariantViolation(
-            "adjacency-length", f"edges at functions {ks[0]}..{ks[-1]}, outside [0, {K})"
-        )
-    rows: list[list[int]] = [[] for _ in range(K)]
-    for k, i in zip(ks.tolist(), nodes.tolist()):
-        rows[k].append(i)
-    CoverageGraph(k_functions=K, n_nodes=n, adjacency=tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True)
@@ -99,13 +47,6 @@ class Assignment:
         if len(nodes) != len(set(nodes)):
             raise InvariantViolation("injective", f"{self.pairs}")
 
-    @property
-    def mapping(self) -> dict[int, int]:
-        return dict(self.pairs)
-
-    def node_of(self, k: int) -> int | None:
-        return self.mapping.get(k)
-
     def __len__(self) -> int:
         return len(self.pairs)
 
@@ -117,7 +58,13 @@ def build_coverage_graph(instance: Instance) -> CoverageGraph:
     # nonzero walks the (K, n) matrix row by row, so each function's nodes
     # come out ascending and the functions in order.
     ks, nodes = np.nonzero((cells[:, j1] & cells[:, j2]).T)
-    return CoverageGraph.from_edges(instance.k, instance.n, ks, nodes)
+    ends = np.cumsum(np.bincount(ks, minlength=instance.k)).tolist()
+    nodes = nodes.tolist()
+    return CoverageGraph(
+        k_functions=instance.k,
+        n_nodes=instance.n,
+        adjacency=tuple(tuple(nodes[a:b]) for a, b in zip([0] + ends[:-1], ends)),
+    )
 
 
 def augment(adjacency, match_fn: list[int], match_node: list[int], roots=None) -> int:

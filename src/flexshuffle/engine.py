@@ -131,19 +131,13 @@ def common_friends(payloads: dict[int, MessagePayload], pair) -> tuple[str, ...]
     return tuple(sorted(set(payloads[j1].friends) & set(payloads[j2].friends)))
 
 
-def coded_transmission(
-    instance: Instance, payloads: dict[int, MessagePayload], sender: int, support
-) -> Transmission:
-    """One broadcast of the XOR of the ``support`` messages' encodings; a
-    one-message support is sent raw."""
-    return _message_transmissions(instance, payloads, [(support, sender)])[0]
-
-
 def _message_transmissions(
     instance: Instance, payloads: dict[int, MessagePayload], sends
 ) -> list[Transmission]:
     """One broadcast per (support, sender) pair in ``sends``, all at one
-    payload width; only the support's messages are encoded."""
+    payload width: the XOR of the support messages' encodings, sent raw
+    when the support is one message.  Only the support's messages are
+    encoded."""
     if not sends:
         return []
     width = payload_width(payloads)
@@ -163,24 +157,6 @@ def _message_transmissions(
     return out
 
 
-def intermediate_transmission(
-    instance: Instance, payloads: dict[int, MessagePayload], sender: int, k: int, slot: int
-) -> Transmission:
-    j = instance.workload.functions[k][slot]
-    if not instance.placement.cells[sender].tolist()[j]:
-        raise InvariantViolation(
-            "sender-computes-value", f"node {sender} cannot produce slot {slot} of function {k}"
-        )
-    # never XORed with anything, so it travels at its natural length
-    value = MessagePayload(owner=f"{k}.{slot}", friends=payloads[j].friends)
-    return Transmission(
-        sender=sender,
-        kind="intermediate",
-        support=(k, slot),
-        data=encode_payload(value, _LEN_BYTES + len(value.content())),
-    )
-
-
 def transmissions_from_uncoded_plan(
     instance: Instance, payloads: dict[int, MessagePayload], plan: UncodedPlan
 ) -> list[Transmission]:
@@ -192,13 +168,22 @@ def transmissions_from_uncoded_plan(
 def transmissions_from_intermediate_plan(
     instance: Instance, payloads: dict[int, MessagePayload], plan: IntermediatePlan
 ) -> list[Transmission]:
+    """One intermediate broadcast per input an assigned node lacks, sent by
+    the lowest node holding the input."""
     out = []
     rows = instance.placement.cells.tolist()
     for k, i in plan.assignment.pairs:
         for slot, j in enumerate(instance.workload.functions[k]):
             if not rows[i][j]:
-                sender = instance.placement.holders(j)[0]
-                out.append(intermediate_transmission(instance, payloads, sender, k, slot))
+                # never XORed with anything, so it travels at its natural length
+                value = MessagePayload(owner=f"{k}.{slot}", friends=payloads[j].friends)
+                tx = Transmission(
+                    sender=instance.placement.holders(j)[0],
+                    kind="intermediate",
+                    support=(k, slot),
+                    data=encode_payload(value, _LEN_BYTES + len(value.content())),
+                )
+                out.append(tx)
     return out
 
 
@@ -358,19 +343,6 @@ def demo_payloads() -> dict[int, MessagePayload]:
     }
 
 
-def demo_plan(instance: Instance, payloads: dict[int, MessagePayload]) -> list[Transmission]:
-    """The two-broadcast plan: node 3 sends message 0 raw and 2 XOR 3 coded."""
-    return [
-        coded_transmission(instance, payloads, sender=3, support=(0,)),
-        coded_transmission(instance, payloads, sender=3, support=(2, 3)),
-    ]
-
-
-def demo_assignment() -> Assignment:
-    """{A,B} on node 2, {B,C} on node 1, {D,E} on node 0."""
-    return Assignment(pairs=((0, 2), (1, 1), (2, 0)))
-
-
 def run_demo(plan: str = "default") -> Transcript:
     """Run the walkthrough end to end and verify outputs against the oracle.
 
@@ -379,8 +351,12 @@ def run_demo(plan: str = "default") -> Transcript:
     """
     instance = demo_instance()
     payloads = demo_payloads()
-    transmissions = [] if plan == "empty" else demo_plan(instance, payloads)
-    transcript = run_plan(instance, payloads, transmissions, demo_assignment())
+    # node 3 sends message 0 raw and 2 XOR 3 coded
+    sends = [] if plan == "empty" else [((0,), 3), ((2, 3), 3)]
+    transmissions = _message_transmissions(instance, payloads, sends)
+    # {A,B} on node 2, {B,C} on node 1, {D,E} on node 0
+    assignment = Assignment(pairs=((0, 2), (1, 1), (2, 0)))
+    transcript = run_plan(instance, payloads, transmissions, assignment)
     for k, pair in enumerate(instance.workload.functions):
         expected = common_friends(payloads, pair)
         if transcript.outputs[k] != expected:

@@ -45,12 +45,6 @@ def gf2_row_basis(rows, n_cols: int) -> list[int]:
     return sorted(basis.values())
 
 
-def gf2_rank(rows, n_cols: int) -> int:
-    """Rank over GF(2) of the rows' coefficients (bits below ``n_cols``)."""
-    basis: dict[int, int] = {}
-    return sum(insert(basis, row, n_cols) for row in rows)
-
-
 def completion_ranks(base, cells, n_cols: int) -> np.ndarray:
     """Rank of every completion of a pattern, vectorized across completions.
 

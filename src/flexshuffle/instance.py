@@ -9,7 +9,6 @@ serialize to a line-oriented text format (see ``save_instance``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -218,11 +217,6 @@ def generate_placement(m: int, n: int, p: float, seed: int) -> Placement:
     return Placement(m=m, n=n, cells=rng.random((n, m)) < p, p=p, seed=seed)
 
 
-def demo_placement() -> Placement:
-    """The fixed 6-message, 4-node walkthrough placement."""
-    return Placement.from_sets(6, 4, _DEMO_SIDE_INFO)
-
-
 def generate_functions(m: int, K: int, d: int, seed: int) -> FunctionSet:
     """Sample K distinct message pairs with per-message multiplicity <= d.
 
@@ -268,13 +262,13 @@ def generate_functions(m: int, K: int, d: int, seed: int) -> FunctionSet:
     return FunctionSet(functions=tuple(chosen), d=d)
 
 
-def demo_functions() -> FunctionSet:
-    """The walkthrough workload: pairs {A,B}, {B,C}, {D,E}."""
-    return FunctionSet(functions=_DEMO_FUNCTIONS, d=2)
-
-
 def demo_instance() -> Instance:
-    return Instance(placement=demo_placement(), workload=demo_functions())
+    """The fixed walkthrough: 6 messages on 4 nodes, and the pairs {A,B},
+    {B,C}, {D,E}."""
+    return Instance(
+        placement=Placement.from_sets(6, 4, _DEMO_SIDE_INFO),
+        workload=FunctionSet(functions=_DEMO_FUNCTIONS, d=2),
+    )
 
 
 def derive_seeds(*entropy: int, count: int = 1) -> list[int]:
@@ -418,13 +412,3 @@ def instance_from_text(text: str) -> Instance:
             raise InvariantViolation("distinct-inputs", f"line {lineno}: pair ({j1}, {j2})")
     workload = FunctionSet(functions=functions, d=d)
     return Instance(placement=placement, workload=workload)
-
-
-def total_side_info(placement: Placement) -> int:
-    """Sum of |S_i| over nodes; Binomial(m*n, p) for generated placements."""
-    return int(placement.cells.sum())
-
-
-def expected_side_info(m: int, n: int, p: float) -> tuple[float, float]:
-    """Mean and standard deviation of the total side-information count."""
-    return m * n * p, math.sqrt(m * n * p * (1.0 - p))

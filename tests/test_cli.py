@@ -370,3 +370,12 @@ def test_sweep_rejects_out_of_range_counts(capsys, extra):
     assert code == cli.EXIT_USAGE
     assert "parameters out of range" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("p_values", ["abc", ",", "0.3,,0.5"])
+def test_sweep_rejects_p_values_that_are_not_floats(capsys, p_values):
+    args = ["sweep", "--m", "10", "--n", "8", "--K", "3", "--trials", "5"]
+    code, out, err = run(capsys, *args, "--p-values", p_values)
+    assert code == cli.EXIT_USAGE
+    assert "--p-values must be comma-separated floats" in err
+    assert out == ""

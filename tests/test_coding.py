@@ -11,7 +11,7 @@ from oracles import (
     side_sets,
 )
 
-from flexshuffle import coding, gf2, gf2_rank
+from flexshuffle import coding, gf2
 from flexshuffle.coding import (
     FittingMatrix,
     _has_acyclic_rows,
@@ -95,6 +95,46 @@ def test_receiver_cannot_demand_a_negative_message():
     assert err.value.detail == "receiver 1 demands message -1"
 
 
+@st.composite
+def valid_receivers(draw):
+    """Up to six receivers over up to eight messages, none demanding a
+    message it holds."""
+    m = draw(st.integers(1, 8))
+    out = []
+    for _ in range(draw(st.integers(0, 6))):
+        demand = draw(st.integers(0, m - 1))
+        out.append((demand, draw(st.integers(0, (1 << m) - 1)) & ~(1 << demand)))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_receivers())
+def test_built_fitting_matrices_meet_the_minrank_checks(receivers):
+    # what minrank_gf2 checks on a hand-built matrix holds by construction
+    fm = build_fitting_matrix(receivers)
+    assert len(fm.demand_col) == len(fm.free) == len(receivers)
+    for dc, f in zip(fm.demand_col, fm.free):
+        assert 0 <= dc < fm.n_cols
+        assert not f >> fm.n_cols
+        assert not f >> dc & 1
+
+
+@pytest.mark.parametrize(
+    "demand_col, free, invariant",
+    [
+        ((0, 1), (0,), "row-count"),
+        ((0, 2), (0, 0), "demand-column-range"),
+        ((0, 1), (0b100, 0), "free-mask-range"),
+        ((0, 1), (0, 0b10), "demand-cell-forced-one"),
+    ],
+)
+def test_minrank_checks_hand_built_matrices(demand_col, free, invariant):
+    fm = FittingMatrix(columns=(0, 1), demand_col=demand_col, free=free)
+    with pytest.raises(InvariantViolation) as err:
+        minrank_gf2(fm)
+    assert err.value.invariant == invariant
+
+
 def walkthrough_fitting_matrix():
     # receivers ordered so the columns come out (D, C, A) = (3, 2, 0)
     return build_fitting_matrix(
@@ -102,11 +142,21 @@ def walkthrough_fitting_matrix():
     )
 
 
+def cell_pattern(fm):
+    """Each cell as "one" (a row's demand), "free" or "zero"."""
+    return [
+        [
+            "one" if c == dc else "free" if f >> c & 1 else "zero"
+            for c in range(fm.n_cols)
+        ]
+        for dc, f in zip(fm.demand_col, fm.free)
+    ]
+
+
 def test_fitting_matrix_demo_pattern():
     fm = walkthrough_fitting_matrix()
     assert fm.columns == (3, 2, 0)
-    pattern = [[fm.cell(r, c) for c in range(3)] for r in range(3)]
-    assert pattern == [
+    assert cell_pattern(fm) == [
         ["one", "free", "free"],
         ["free", "one", "zero"],
         ["zero", "zero", "one"],
@@ -144,12 +194,12 @@ def test_minrank_demo_fitting_matrix():
     result = minrank_gf2(fm)
     assert result.rank == 2
     assert brute_minrank(fm.demand_col, fm.free, fm.n_cols) == 2
-    assert gf2_rank(result.witness, fm.n_cols) == 2
+    assert len(gf2.gf2_row_basis(result.witness, fm.n_cols)) == 2
     # the witness respects the cell pattern
-    for r, row in enumerate(result.witness):
+    for r, (row, cells) in enumerate(zip(result.witness, cell_pattern(fm))):
         assert row & (1 << fm.demand_col[r])
-        for c in range(fm.n_cols):
-            if fm.cell(r, c) == "zero":
+        for c, cell in enumerate(cells):
+            if cell == "zero":
                 assert not row & (1 << c)
 
 

@@ -1,6 +1,5 @@
 import itertools
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -275,66 +274,6 @@ def test_assignment_rejects_non_injective():
         Assignment(pairs=((0, 1), (1, 1)))
     with pytest.raises(InvariantViolation):
         Assignment(pairs=((0, 1), (0, 2)))
-
-
-def test_graph_rejects_unsorted_adjacency():
-    with pytest.raises(InvariantViolation):
-        CoverageGraph(k_functions=1, n_nodes=3, adjacency=((2, 1),))
-
-
-@pytest.mark.parametrize(
-    "K, n, adjacency, invariant, detail",
-    [
-        (2, 3, ((0,),), "adjacency-length", ""),
-        (2, 3, ((0,), (2, 1)), "adjacency-sorted", "function 1: (2, 1)"),
-        (1, 3, ((1, 1),), "adjacency-sorted", "function 0: (1, 1)"),
-        (2, 3, ((0,), (1, 3)), "node-index-range", "function 1: (1, 3)"),
-        (1, 3, ((-1, 0),), "node-index-range", "function 0: (-1, 0)"),
-        # Function 0 breaks the range and function 1 the order: the lowest
-        # function is named.
-        (2, 3, ((0, 5), (2, 1)), "node-index-range", "function 0: (0, 5)"),
-    ],
-)
-def test_graph_names_invariants(K, n, adjacency, invariant, detail):
-    with pytest.raises(InvariantViolation) as err:
-        CoverageGraph(k_functions=K, n_nodes=n, adjacency=adjacency)
-    assert (err.value.invariant, err.value.detail) == (invariant, detail)
-
-
-@pytest.mark.parametrize(
-    "ks, nodes, invariant",
-    [
-        ([1, 0], [0, 1], "adjacency-sorted"),
-        ([0, 2], [0, 1], "adjacency-length"),
-        ([-1, 0], [0, 1], "adjacency-length"),
-    ],
-)
-def test_graph_from_edges_checks_function_order(ks, nodes, invariant):
-    with pytest.raises(InvariantViolation) as err:
-        CoverageGraph.from_edges(2, 3, np.array(ks), np.array(nodes))
-    assert err.value.invariant == invariant
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_graph_from_edges_agrees_with_row_check(data):
-    """The same rows as flat edge arrays: the same graph, or the same
-    invariant name and detail."""
-    K = data.draw(st.integers(0, 4))
-    n = data.draw(st.integers(1, 4))
-    rows = tuple(
-        tuple(data.draw(st.lists(st.integers(-1, n), max_size=4))) for _ in range(K)
-    )
-    ks = np.array([k for k, nbrs in enumerate(rows) for _ in nbrs], dtype=np.intp)
-    nodes = np.array([i for nbrs in rows for i in nbrs], dtype=np.intp)
-    try:
-        expected = CoverageGraph(k_functions=K, n_nodes=n, adjacency=rows)
-    except InvariantViolation as exc:
-        with pytest.raises(InvariantViolation) as err:
-            CoverageGraph.from_edges(K, n, ks, nodes)
-        assert (err.value.invariant, err.value.detail) == (exc.invariant, exc.detail)
-    else:
-        assert CoverageGraph.from_edges(K, n, ks, nodes) == expected
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,18 +7,14 @@ from hypothesis import strategies as st
 from oracles import eager_run_plan
 
 import flexshuffle.engine as engine
-from flexshuffle.coding import best_coded_plan
+from flexshuffle.coding import CodedPlan, best_coded_plan
 from flexshuffle.coverage import Assignment, build_coverage_graph, hopcroft_karp
 from flexshuffle.engine import (
     MessagePayload,
-    coded_transmission,
     common_friends,
     decode_payload,
-    demo_assignment,
     demo_payloads,
-    demo_plan,
     encode_payload,
-    intermediate_transmission,
     run_demo,
     run_plan,
     transmissions_from_coded_plan,
@@ -43,6 +39,23 @@ from flexshuffle.shuffle import (
 GOLDEN = Path(__file__).parent / "data" / "demo_transcript.golden"
 
 symbols = st.text(alphabet="ABCDEFGHij", min_size=1, max_size=3)
+
+# The walkthrough's plan: {A,B} on node 2, {B,C} on node 1, {D,E} on node 0,
+# and node 3 sends message 0 raw and 2 XOR 3 coded.
+DEMO_ASSIGNMENT = Assignment(pairs=((0, 2), (1, 1), (2, 0)))
+DEMO_SENDS = [((0,), 3), ((2, 3), 3)]
+
+
+def sent(inst, payloads, sends):
+    """The transmissions of hand-picked (support, sender) broadcasts, built
+    as a coded plan's are."""
+    plan = CodedPlan(
+        count=len(sends),
+        assignment=Assignment(pairs=()),
+        broadcasts=tuple(frozenset(support) for support, _ in sends),
+        senders=tuple(sender for _, sender in sends),
+    )
+    return transmissions_from_coded_plan(inst, payloads, plan)
 
 
 @settings(max_examples=100, deadline=None)
@@ -129,7 +142,7 @@ def test_run_plan_reads_held_inputs_demo():
     transcript = run_demo()
     # A node reads the inputs it holds from its placement row and decodes
     # only the rest: node 0 holds A, C, E and runs {D,E}, so it decodes D.
-    assert decoded_inputs(transcript) == lacked_inputs(inst, demo_assignment())
+    assert decoded_inputs(transcript) == lacked_inputs(inst, DEMO_ASSIGNMENT)
     assert [(k, j) for i, k, j, _ in transcript.decodes if i == 0] == [(2, 3)]
 
 
@@ -151,7 +164,7 @@ def test_run_plan_empty_side_info():
     assert transcript.decodes == []
     assert transcript.outputs == {0: ()}
     on_node_0 = Assignment(pairs=((0, 0),))
-    broadcasts = [coded_transmission(inst, payloads, 1, (j,)) for j in (0, 1)]
+    broadcasts = sent(inst, payloads, [((0,), 1), ((1,), 1)])
     transcript = run_plan(inst, payloads, broadcasts, on_node_0)
     assert decoded_inputs(transcript) == lacked_inputs(inst, on_node_0) == [(0, 0, 0), (0, 0, 1)]
     assert transcript.outputs == {0: ()}
@@ -160,7 +173,7 @@ def test_run_plan_empty_side_info():
 def test_one_message_support_is_raw():
     inst = demo_instance()
     payloads = demo_payloads()
-    tx = coded_transmission(inst, payloads, 3, (0,))
+    (tx,) = sent(inst, payloads, [((0,), 3)])
     assert (tx.kind, tx.support) == ("raw", (0,))
     assert tx.data == encode_payload(payloads[0], len(tx.data))
     assert decode_payload(tx.data) == payloads[0]
@@ -202,12 +215,14 @@ def test_empty_plan_on_covered_instance():
 def test_sender_must_hold_support():
     inst = demo_instance()
     payloads = demo_payloads()
-    with pytest.raises(InvariantViolation):
-        coded_transmission(inst, payloads, sender=0, support=(1,))  # node 0 lacks B
-    with pytest.raises(InvariantViolation):
-        coded_transmission(inst, payloads, sender=0, support=(0, 1))
-    with pytest.raises(InvariantViolation):
-        intermediate_transmission(inst, payloads, sender=0, k=0, slot=1)
+    # node 0 holds A but lacks B
+    for support in [(1,), (0, 1)]:
+        plan = CodedPlan(
+            count=1, assignment=DEMO_ASSIGNMENT, broadcasts=(frozenset(support),), senders=(0,)
+        )
+        with pytest.raises(InvariantViolation) as err:
+            transmissions_from_coded_plan(inst, payloads, plan)
+        assert err.value.invariant == "sender-holds-support"
 
 
 def synthetic_payloads(m, seed):
@@ -284,21 +299,23 @@ def test_coded_plans_decode():
 def test_demo_plan_transmission_invariants():
     inst = demo_instance()
     payloads = demo_payloads()
-    for tx in demo_plan(inst, payloads):
+    transcript = run_demo()
+    assert transcript.transmissions == sent(inst, payloads, DEMO_SENDS)
+    for tx in transcript.transmissions:
         assert all(inst.placement.cells[tx.sender, j] for j in tx.support)
-    assert demo_assignment().mapping == {0: 2, 1: 1, 2: 0}
+    assert {k: i for i, k, _, _ in transcript.decodes} == dict(DEMO_ASSIGNMENT.pairs)
 
 
 def test_run_plan_builds_each_content_once(monkeypatch):
     inst = demo_instance()
-    transmissions = demo_plan(inst, demo_payloads())
+    transmissions = sent(inst, demo_payloads(), DEMO_SENDS)
     builds = []
     build = MessagePayload._content.func
     counted = cached_property(lambda self: builds.append(1) or build(self))
     counted.__set_name__(MessagePayload, "_content")
     monkeypatch.setattr(MessagePayload, "_content", counted)
     # fresh payloads, so no content is cached before the run
-    run_plan(inst, demo_payloads(), transmissions, demo_assignment())
+    run_plan(inst, demo_payloads(), transmissions, DEMO_ASSIGNMENT)
     assert len(builds) == inst.m
 
 
@@ -356,7 +373,7 @@ def test_nodes_holding_both_inputs_run_no_elimination(monkeypatch):
 
     monkeypatch.setattr(engine, "_decode_node", counted)
     transcript = run_plan(
-        inst, payloads, [coded_transmission(inst, payloads, 0, (0,))],
+        inst, payloads, sent(inst, payloads, [((0,), 0)]),
         Assignment(pairs=((0, 0), (1, 1))),
     )
     assert calls == [([False, True, True], [0])]

@@ -15,7 +15,7 @@ from flexshuffle.engine import (
     encode_payload,
     payload_width,
 )
-from flexshuffle.gf2 import gf2_rank, gf2_row_basis
+from flexshuffle.gf2 import gf2_row_basis
 
 
 def bit_lists(rows, n_cols):
@@ -33,7 +33,7 @@ def row_sets(draw, max_cols=10):
 @given(row_sets())
 def test_rank_matches_oracle(case):
     rows, n_cols = case
-    assert gf2_rank(rows, n_cols) == rank_gf2(bit_lists(rows, n_cols), n_cols)
+    assert len(gf2_row_basis(rows, n_cols)) == rank_gf2(bit_lists(rows, n_cols), n_cols)
 
 
 @settings(max_examples=300, deadline=None)

@@ -11,10 +11,7 @@ from flexshuffle.instance import (
     FunctionSet,
     Instance,
     Placement,
-    demo_functions,
     demo_instance,
-    demo_placement,
-    expected_side_info,
     generate_functions,
     generate_placement,
     instance_from_text,
@@ -22,7 +19,6 @@ from flexshuffle.instance import (
     load_instance,
     random_instance,
     save_instance,
-    total_side_info,
 )
 
 
@@ -38,9 +34,9 @@ def test_placement_p1_all_full():
 
 def test_placement_total_concentrates():
     pl = generate_placement(100, 100, 0.3, seed=7)
-    mean, sd = expected_side_info(100, 100, 0.3)
-    assert mean == 3000
-    assert abs(total_side_info(pl) - mean) <= 4 * sd
+    # the total is Binomial(m*n, p)
+    mean, sd = 100 * 100 * 0.3, math.sqrt(100 * 100 * 0.3 * 0.7)
+    assert abs(int(pl.cells.sum()) - mean) <= 4 * sd
 
 
 def test_placement_deterministic():
@@ -74,7 +70,7 @@ def test_placement_cell_frequency():
 
 
 def test_demo_placement_matches_walkthrough():
-    pl = demo_placement()
+    pl = demo_instance().placement
     assert (pl.m, pl.n) == (6, 4)
     assert side_sets(pl) == (
         frozenset({0, 2, 4}), frozenset({1, 3, 5}), frozenset({1, 4, 5}), frozenset({0, 2, 3})
@@ -82,7 +78,7 @@ def test_demo_placement_matches_walkthrough():
 
 
 def test_demo_functions():
-    fs = demo_functions()
+    fs = demo_instance().workload
     assert fs.functions == ((0, 1), (1, 2), (3, 4))
     assert fs.functions[0] == (0, 1)
     assert fs.functions[2] == (3, 4)

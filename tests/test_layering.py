@@ -106,3 +106,83 @@ def test_private_helpers_are_used_in_their_module(path):
 )
 def test_unused_private_defs_are_found(source, found):
     assert unused_private_defs(ast.parse(source)) == found
+
+
+# Public functions named nowhere outside their own module, kept on purpose.
+REACHED_ONLY_BY_TESTS = {
+    # the payload codec: the engine's wire format, round-tripped in tests
+    "encode_payload", "decode_payload", "payload_width",
+    # the parser behind load_instance, for instance text already in memory
+    "instance_from_text",
+    # the interval behind every ProportionEstimate
+    "wilson_interval",
+    # the node groups of the fixed-assignment baseline
+    "fixed_assignment_nodes",
+    # seeded_outputs.golden pins its output
+    "mc_fixed_no_shuffle",
+}
+
+
+def public_defs(tree: ast.Module) -> list[str]:
+    """Module-level functions without a leading underscore."""
+    return [
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def names_in(tree: ast.Module) -> set[str]:
+    """Every name a module reads, imports or reads off an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def unreached_public_defs(tree: ast.Module, others) -> list[str]:
+    """Public functions of ``tree`` that none of the ``others`` names."""
+    named = set().union(*map(names_in, others))
+    return [name for name in public_defs(tree) if name not in named]
+
+
+def reaching_sources() -> dict[Path, ast.Module]:
+    """The code whose use keeps a public function: the package modules,
+    the demos, the benchmark and the acceptance tests.  ``__init__.py``
+    only re-exports, so it does not count."""
+    paths = [
+        *(p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"),
+        *sorted((ROOT / "demos").glob("*.py")),
+        *sorted((ROOT / "benchmarks").glob("*.py")),
+        ROOT / "tests" / "test_acceptance.py",
+    ]
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(PACKAGE.glob("*.py")) if p.name not in ("__init__.py", "cli.py")],
+    ids=lambda p: p.name,
+)
+def test_public_functions_are_reached(path):
+    sources = reaching_sources()
+    others = [tree for other, tree in sources.items() if other != path]
+    unreached = unreached_public_defs(sources[path], others)
+    assert [name for name in unreached if name not in REACHED_ONLY_BY_TESTS] == []
+
+
+@pytest.mark.parametrize(
+    "source, others, found",
+    [("def f(): pass\ndef g(): pass", ["from m import g"], ["f"]),
+     ("def f(): pass", ["import m\nm.f()"], []),
+     ("def f(): pass\ndef _g(): pass", ["x = 1"], ["f"]),
+     ("def f(): pass\nf()", [], ["f"])],
+)
+def test_unreached_public_defs_are_found(source, others, found):
+    trees = [ast.parse(other) for other in others]
+    assert unreached_public_defs(ast.parse(source), trees) == found

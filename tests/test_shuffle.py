@@ -363,4 +363,4 @@ def test_broken_ring_one_broadcast_through_every_function():
         assert plan.broadcast_messages == (2 * K - 2,)
         assert plan.senders == ((2 * K - 2, 0),)
         assert len(plan.assignment) == K
-        assert plan.assignment.node_of(K - 1) == 1
+        assert dict(plan.assignment.pairs)[K - 1] == 1
