@@ -217,11 +217,8 @@ def test_sender_must_hold_support():
     payloads = demo_payloads()
     # node 0 holds A but lacks B
     for support in [(1,), (0, 1)]:
-        plan = CodedPlan(
-            count=1, assignment=DEMO_ASSIGNMENT, broadcasts=(frozenset(support),), senders=(0,)
-        )
         with pytest.raises(InvariantViolation) as err:
-            transmissions_from_coded_plan(inst, payloads, plan)
+            sent(inst, payloads, [(support, 0)])
         assert err.value.invariant == "sender-holds-support"
 
 
