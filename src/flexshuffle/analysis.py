@@ -32,10 +32,6 @@ class ProportionEstimate:
     def halfwidth(self) -> float:
         return (self.hi - self.lo) / 2.0
 
-    @property
-    def se(self) -> float:
-        return math.sqrt(self.fraction * (1.0 - self.fraction) / self.trials)
-
 
 @dataclass(frozen=True)
 class MeanEstimate:
@@ -116,10 +112,7 @@ def fixed_assignment_threshold(K: int, nodes_per_function: float) -> float:
         raise ValueError(f"threshold needs K >= 2, got {K}")
     if nodes_per_function < 1:
         raise ValueError("need at least one node per function")
-    ratio = math.log(K) / K
-    if ratio >= 1.0:
-        raise ValueError(f"K={K} is outside the threshold's regime")
-    return 1.0 - ratio ** (1.0 / nodes_per_function)
+    return 1.0 - (math.log(K) / K) ** (1.0 / nodes_per_function)
 
 
 def expected_nowhere_covered(n: int, K: int, p: float) -> float:
@@ -155,10 +148,6 @@ class FixedUncodedExpectation:
 
     mean: float
     miscounted_mean: float
-
-    @property
-    def discrepancy(self) -> float:
-        return self.miscounted_mean - self.mean
 
 
 def expected_fixed_uncoded(K: int, p: float) -> FixedUncodedExpectation:

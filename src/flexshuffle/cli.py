@@ -293,11 +293,8 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except tuple(cls for cls, _ in _ERROR_CODES) as exc:
-        for cls, code in _ERROR_CODES:
-            if isinstance(exc, cls):
-                print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-                return code
-        raise AssertionError("unreachable")
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return next(code for cls, code in _ERROR_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

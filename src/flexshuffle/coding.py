@@ -24,7 +24,7 @@ import numpy as np
 
 from . import gf2, shuffle
 from .coverage import Assignment, base_matching
-from .errors import BudgetExceeded, CapExceeded, Infeasible, InvariantViolation
+from .errors import BudgetExceeded, CapExceeded, InvariantViolation
 from .instance import Instance
 
 
@@ -134,20 +134,20 @@ def _completion_rows(fm: FittingMatrix, completion: int) -> tuple[int, ...]:
 
 
 def _check_caps(fm: FittingMatrix, free_cap: int) -> None:
-    """Raise CapExceeded when the matrix has more than ``free_cap`` free
-    cells or more columns than ``gf2.completion_ranks`` takes."""
+    """Raise CapExceeded when the matrix has more free cells than
+    ``free_cap`` or ``gf2.MAX_FREE``, or more columns than
+    ``gf2.completion_ranks`` takes."""
     n_free = sum(f.bit_count() for f in fm.free)
-    if n_free > free_cap:
-        raise CapExceeded("free cells", n_free, free_cap)
-    if fm.n_rows and fm.n_cols > gf2.MAX_COLS:
+    cap = min(free_cap, gf2.MAX_FREE)
+    if n_free > cap:
+        raise CapExceeded("free cells", n_free, cap)
+    if fm.n_cols > gf2.MAX_COLS:
         raise CapExceeded("fitting-matrix columns", fm.n_cols, gf2.MAX_COLS)
 
 
 def _completions_by_rank(fm: FittingMatrix):
     """(rank, rows) of every completion, lowest rank first; equal ranks
     keep completion order.  The caller checks the caps."""
-    if fm.n_rows == 0:
-        return iter([(0, ())])
     base = [1 << dc for dc in fm.demand_col]
     ranks = gf2.completion_ranks(base, fm.free_cells, fm.n_cols)
     return (
@@ -342,8 +342,8 @@ def best_coded_plan(
                 min(i for i, nc in enumerate(node_cols) if v & ~nc == 0) for v in basis
             ),
         )
-    if best is None:
-        raise Infeasible("no sender-supportable code exists for any assignment")
+    # Never None: the first pattern's all-zero completion spans the unit
+    # vectors of its demands, and check_solvable found a holder for each.
     return best
 
 

@@ -28,7 +28,6 @@ class CoverageGraph:
     is not checked again.
     """
 
-    k_functions: int
     n_nodes: int
     adjacency: tuple[tuple[int, ...], ...]
 
@@ -47,9 +46,6 @@ class Assignment:
         if len(nodes) != len(set(nodes)):
             raise InvariantViolation("injective", f"{self.pairs}")
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
 
 def build_coverage_graph(instance: Instance) -> CoverageGraph:
     """Edge (k, i) present iff node i holds both inputs of function k."""
@@ -61,7 +57,6 @@ def build_coverage_graph(instance: Instance) -> CoverageGraph:
     ends = np.cumsum(np.bincount(ks, minlength=instance.k)).tolist()
     nodes = nodes.tolist()
     return CoverageGraph(
-        k_functions=instance.k,
         n_nodes=instance.n,
         adjacency=tuple(tuple(nodes[a:b]) for a, b in zip([0] + ends[:-1], ends)),
     )

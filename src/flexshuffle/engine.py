@@ -65,10 +65,7 @@ def payload_width(payloads: dict[int, MessagePayload]) -> int:
 
 def encode_payload(payload: MessagePayload, width: int) -> bytes:
     """Length-prefixed canonical bytes, zero-padded to ``width``."""
-    return _framed(payload.content(), width)
-
-
-def _framed(content: bytes, width: int) -> bytes:
+    content = payload.content()
     if _LEN_BYTES + len(content) > width:
         raise ValueError(f"payload needs {_LEN_BYTES + len(content)} bytes, width is {width}")
     return len(content).to_bytes(_LEN_BYTES, "big") + content + b"\x00" * (
@@ -213,7 +210,7 @@ def _heard_rows(transmissions, payloads, width: int, n_msgs: int):
         if tx.kind != "intermediate"
     ]
     local = {
-        j: int.from_bytes(_framed(payloads[j].content(), width), "big") << payload_at
+        j: int.from_bytes(encode_payload(payloads[j], width), "big") << payload_at
         | 1 << (local_at + j)
         for j in {j for support, _ in heard for j in support}
     }

@@ -15,6 +15,9 @@ from .errors import CapExceeded
 
 _CHUNK = 1 << 14
 MAX_COLS = 32  # completion_ranks packs each row into a uint32
+# completion_ranks and its sort hold about 18 bytes per completion, 2**free
+# of them: 24 free cells took 350 MB and 20 s on one core of a 2-core machine.
+MAX_FREE = 24
 
 
 def insert(basis: dict[int, int], row: int, n_cols: int) -> bool:

@@ -307,7 +307,7 @@ def instance_to_text(instance: Instance) -> str:
     lines.append(f"K {fs.k}")
     lines.append(f"d {fs.d}")
     if pl.p is not None:
-        lines.append(f"p {pl.p!r}")
+        lines.append(f"p {float(pl.p)!r}")
     if pl.seed is not None:
         lines.append(f"seed {pl.seed}")
     for row in pl.cells:
@@ -344,10 +344,10 @@ def instance_from_text(text: str) -> Instance:
     func_lines: list[tuple[int, tuple[int, int]]] = []
     saw_format = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        # no valid token holds a "#", so a comment runs from the first one
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         key = tokens[0]
         if not saw_format:
             if key != FORMAT_NAME or len(tokens) > 2:

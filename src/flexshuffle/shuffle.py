@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .coverage import Assignment, augment, base_matching
-from .errors import BudgetExceeded, Infeasible, InvariantViolation, Outage
+from .errors import BudgetExceeded, Infeasible, Outage
 from .instance import Instance
 
 
@@ -40,11 +40,10 @@ class IntermediatePlan:
 
     assignment: Assignment
     cost_per_function: tuple[int, ...]
-    total: int
 
-    def __post_init__(self):
-        if self.total != sum(self.cost_per_function):
-            raise InvariantViolation("total-is-sum")
+    @property
+    def total(self) -> int:
+        return sum(self.cost_per_function)
 
 
 def missing_messages(instance: Instance) -> tuple[int, ...]:
@@ -228,14 +227,8 @@ def min_intermediate_broadcasts(instance: Instance) -> IntermediatePlan:
     assigned node.
     """
     check_solvable(instance)
-    if instance.k == 0:
-        return IntermediatePlan(assignment=Assignment(pairs=()), cost_per_function=(), total=0)
     cost = _lacks(instance).sum(axis=1)
     rows, cols = linear_sum_assignment(cost)
     pairs = tuple(sorted((int(k), int(i)) for k, i in zip(rows, cols)))
     per_function = tuple(int(cost[k, i]) for k, i in pairs)
-    return IntermediatePlan(
-        assignment=Assignment(pairs=pairs),
-        cost_per_function=per_function,
-        total=int(cost[rows, cols].sum()),
-    )
+    return IntermediatePlan(assignment=Assignment(pairs=pairs), cost_per_function=per_function)

@@ -100,7 +100,23 @@ def test_expected_fixed_uncoded():
     half = expected_fixed_uncoded(10, 0.5)
     assert half.miscounted_mean == pytest.approx(12.5)
     assert half.mean == pytest.approx(10.0)
-    assert half.discrepancy == pytest.approx(10 * 0.25)
+    assert half.miscounted_mean - half.mean == pytest.approx(10 * 0.25)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: wilson_interval(0, 0),
+        lambda: no_shuffle_threshold(0, 10),
+        lambda: missing_message_prob(5, 5, 1.5),
+        lambda: missing_message_prob(5, 5, float("nan")),
+        lambda: fixed_assignment_threshold(10, 0.5),
+        lambda: expected_fixed_uncoded(10, -0.1),
+    ],
+)
+def test_closed_forms_reject_out_of_domain_arguments(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_wilson_interval_contains_phat():

@@ -26,6 +26,7 @@ from flexshuffle.coding import (
 from flexshuffle.coverage import Assignment
 from flexshuffle.errors import BudgetExceeded, CapExceeded, InvariantViolation
 from flexshuffle.instance import (
+    FunctionSet,
     Instance,
     demo_instance,
     generate_functions,
@@ -176,7 +177,7 @@ def test_fitting_matrix_repeated_demand_shares_column():
     assert fm.free == (0, 0)
 
 
-@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 4])
 def test_minrank_identity_pattern(r):
     result = minrank_gf2(build_fitting_matrix([(i, 0) for i in range(r)]))
     assert result.rank == r
@@ -233,6 +234,22 @@ def test_minrank_cap():
     )
     with pytest.raises(CapExceeded):
         minrank_gf2(fm, free_cap=20)
+    # a matrix with no rows is held to the column cap like any other
+    no_rows = FittingMatrix(columns=tuple(range(gf2.MAX_COLS + 1)), demand_col=(), free=())
+    with pytest.raises(CapExceeded, match="fitting-matrix columns"):
+        minrank_gf2(no_rows)
+
+
+def test_free_cells_are_capped_whatever_free_cap_is():
+    # one row demanding column 0 with every other column free: one free
+    # cell over the limit, whose 2**25 completions would take about 600 MB
+    n_cols = gf2.MAX_FREE + 2
+    fm = FittingMatrix(
+        columns=tuple(range(n_cols)), demand_col=(0,), free=((1 << n_cols) - 2,)
+    )
+    cap = f"^free cells: {gf2.MAX_FREE + 1} exceeds cap {gf2.MAX_FREE}$"
+    with pytest.raises(CapExceeded, match=cap):
+        minrank_gf2(fm, free_cap=gf2.MAX_FREE + 10)
 
 
 def test_minrank_more_side_info_never_hurts():
@@ -378,6 +395,16 @@ def test_solve_records_a_coded_refusal():
     assert report.coded is None
     assert str(report.coded_refusal) == "assignments: 24 exceeds cap 5"
     assert report.raw.size == 2
+
+
+def test_solve_without_functions():
+    inst = Instance(
+        placement=generate_placement(4, 3, 0.5, seed=0), workload=FunctionSet((), d=1)
+    )
+    report = solve(inst)
+    assert (report.raw.size, report.raw.uncovered, report.raw_solver) == (0, 0, "exact")
+    assert (report.inter.total, report.inter.assignment.pairs) == (0, ())
+    assert (report.coded.count, report.coded.assignment.pairs) == (0, ())
 
 
 def test_solve_skip_coded():

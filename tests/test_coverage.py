@@ -81,7 +81,7 @@ def test_demo_matching():
 
 
 def test_complete_graph_matches_everything():
-    graph = CoverageGraph(k_functions=3, n_nodes=4, adjacency=((0, 1, 2, 3),) * 3)
+    graph = CoverageGraph(n_nodes=4, adjacency=((0, 1, 2, 3),) * 3)
     match_fn, match_node, matched = hopcroft_karp(graph.adjacency, graph.n_nodes)
     assert matched == 3
     assert match_fn == [0, 1, 2]
@@ -89,7 +89,7 @@ def test_complete_graph_matches_everything():
 
 
 def test_contended_matching():
-    graph = CoverageGraph(k_functions=3, n_nodes=3, adjacency=((0, 1), (0, 1), (1,)))
+    graph = CoverageGraph(n_nodes=3, adjacency=((0, 1), (0, 1), (1,)))
     match_fn, _, matched = hopcroft_karp(graph.adjacency, graph.n_nodes)
     assert brute_max_matching(graph.adjacency, 3) == 2
     assert matched == 2

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
 
@@ -69,6 +70,13 @@ def test_payload_codec_round_trip(owner, friends):
 def test_codec_empty_friend_set():
     payload = MessagePayload(owner="Z", friends=())
     assert decode_payload(encode_payload(payload, 16)) == payload
+
+
+def test_encode_rejects_too_small_a_width():
+    payload = MessagePayload(owner="Z", friends=("A",))  # content "Z:A"
+    assert len(encode_payload(payload, 5)) == 5
+    with pytest.raises(ValueError, match="payload needs 5 bytes, width is 4"):
+        encode_payload(payload, 4)
 
 
 @pytest.mark.parametrize(
@@ -188,6 +196,29 @@ def test_run_demo_success():
 
 def test_run_demo_matches_golden_transcript():
     assert run_demo().render() == GOLDEN.read_text()
+
+
+def test_run_demo_checks_outputs_against_the_oracle(monkeypatch):
+    monkeypatch.setattr(engine, "common_friends", lambda payloads, pair: ("nobody",))
+    with pytest.raises(AssertionError, match="oracle says"):
+        run_demo()
+
+
+@pytest.mark.parametrize(
+    "pairs, resize, invariant",
+    [
+        (((0, 2), (1, 1)), 0, "assignment-total"),
+        (DEMO_ASSIGNMENT.pairs, 1, "transmission-width"),
+    ],
+)
+def test_run_plan_checks_its_inputs(pairs, resize, invariant):
+    inst = demo_instance()
+    payloads = demo_payloads()
+    transmissions = sent(inst, payloads, DEMO_SENDS)
+    transmissions[0] = replace(transmissions[0], data=transmissions[0].data + bytes(resize))
+    with pytest.raises(InvariantViolation) as err:
+        run_plan(inst, payloads, transmissions, Assignment(pairs=pairs))
+    assert err.value.invariant == invariant
 
 
 def test_run_demo_empty_plan_fails_everywhere():

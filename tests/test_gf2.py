@@ -2,6 +2,7 @@
 
 from functools import reduce
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import rank_gf2
@@ -15,7 +16,8 @@ from flexshuffle.engine import (
     encode_payload,
     payload_width,
 )
-from flexshuffle.gf2 import gf2_row_basis
+from flexshuffle.errors import CapExceeded
+from flexshuffle.gf2 import MAX_COLS, completion_ranks, gf2_row_basis
 
 
 def bit_lists(rows, n_cols):
@@ -48,6 +50,12 @@ def test_row_basis_is_reduced_and_spans(case):
     rank = rank_gf2(bit_lists(rows, n_cols), n_cols)
     assert len(basis) == rank
     assert rank_gf2(bit_lists(rows + basis, n_cols), n_cols) == rank
+
+
+def test_completion_ranks_column_cap():
+    assert completion_ranks([1, 1], [(1, 1)], MAX_COLS).tolist() == [1, 2]
+    with pytest.raises(CapExceeded, match=f"columns: {MAX_COLS + 1} exceeds cap {MAX_COLS}"):
+        completion_ranks([1], [], MAX_COLS + 1)
 
 
 friends = st.lists(st.sampled_from("ABCDEFGH"), unique=True, max_size=5).map(

@@ -209,6 +209,41 @@ def test_placement_rejects_out_of_range():
         Placement.from_sets(m=3, n=1, side_info=(frozenset({3}),))
 
 
+@pytest.mark.parametrize(
+    "build, invariant",
+    [
+        (lambda: Placement(m=0, n=2, cells=np.zeros((2, 0))), "positive-dimensions"),
+        (lambda: Placement.from_sets(m=3, n=0, side_info=()), "positive-dimensions"),
+        (lambda: Placement(m=3, n=2, cells=np.zeros((3, 2))), "cells-shape"),
+    ],
+)
+def test_placement_names_invariants(build, invariant):
+    with pytest.raises(InvariantViolation) as err:
+        build()
+    assert err.value.invariant == invariant
+
+
+def test_placement_is_not_equal_to_other_types():
+    pl = demo_instance().placement
+    assert pl != 3
+    assert pl.__eq__(3) is NotImplemented
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda: generate_placement(6, 4, 1.5, seed=0),
+        lambda: generate_placement(6, 4, float("nan"), seed=0),
+        lambda: generate_placement(0, 4, 0.5, seed=0),
+        lambda: generate_placement(6, 0, 0.5, seed=0),
+        lambda: generate_functions(6, 2, 0, seed=0),
+    ],
+)
+def test_generators_reject_out_of_range_parameters(draw):
+    with pytest.raises(ValueError):
+        draw()
+
+
 def test_placement_rejects_wrong_length():
     with pytest.raises(InvariantViolation) as err:
         Placement.from_sets(m=3, n=2, side_info=(frozenset(),))
@@ -284,14 +319,24 @@ def test_save_load_round_trip_generated(tmp_path):
         placement=generate_placement(12, 5, 0.4, seed=21),
         workload=generate_functions(12, 6, 2, seed=22),
     )
-    path = tmp_path / "gen.txt"
-    save_instance(inst, path)
-    assert load_instance(path) == inst
+    # a NumPy scalar p is written as the float it holds
+    numpy_p = random_instance(6, 4, 2, 2, np.linspace(0.1, 0.5, 3)[1], 5)
+    for name, case in [("gen.txt", inst), ("numpy_p.txt", numpy_p)]:
+        path = tmp_path / name
+        save_instance(case, path)
+        assert load_instance(path) == case
+    assert "p 0.30000000000000004\n" in instance_to_text(numpy_p)
 
 
 def test_text_round_trip_stable():
     text = instance_to_text(demo_instance())
     assert instance_to_text(instance_from_text(text)) == text
+
+
+def test_load_skips_comments_and_blank_lines():
+    lines = instance_to_text(demo_instance()).splitlines()
+    text = "# a whole-line comment\n\n" + "\n".join(f"{line}  # note" for line in lines)
+    assert instance_from_text(text) == demo_instance()
 
 
 def test_load_rejects_equal_pair():
@@ -327,6 +372,9 @@ def test_load_rejects_bad_header():
         instance_from_text("something-else 1\n")
     with pytest.raises(ParseError):
         instance_from_text("")
+    for header, version in [("flexshuffle-instance 2", 2), ("flexshuffle-instance", 0)]:
+        with pytest.raises(ParseError, match=f"line 1: unsupported format version {version}$"):
+            instance_from_text(header + "\n")
 
 
 def test_load_rejects_wrong_counts():
@@ -341,6 +389,21 @@ def _demo_text_with(old: str, new: str) -> str:
     return text.replace(old, new)
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("func 0 1\n", "func 0 1 2\n", "line 10: func line needs exactly two message indices"),
+        ("d 2\n", "d 2\nq 1\n", "line 6: unknown directive 'q'"),
+        ("d 2\n", "", "missing header field d"),
+        ("func 3 4\n", "", "expected 3 func lines, found 2"),
+    ],
+)
+def test_load_names_the_fault(old, new, message):
+    with pytest.raises(ParseError) as err:
+        instance_from_text(_demo_text_with(old, new))
+    assert str(err.value) == message
+
+
 def test_load_rejects_repeated_header_field():
     text = _demo_text_with("n 4\n", "n 4\nm 7\n")
     with pytest.raises(ParseError) as err:
@@ -353,6 +416,14 @@ def test_load_rejects_repeated_header_field():
 def test_load_rejects_p_outside_unit_interval(value):
     text = _demo_text_with("d 2\n", f"d 2\np {value}\n")
     with pytest.raises(ParseError) as err:
+        instance_from_text(text)
+    assert err.value.line == 6
+
+
+@pytest.mark.parametrize("value", ["abc", "np.float64(0.3)"])
+def test_load_rejects_p_that_is_not_a_float(value):
+    text = _demo_text_with("d 2\n", f"d 2\np {value}\n")
+    with pytest.raises(ParseError, match="field p: expected a float") as err:
         instance_from_text(text)
     assert err.value.line == 6
 

@@ -1,7 +1,11 @@
-"""The README's library tour runs as written."""
+"""The README's library tour runs as written, and its instance file loads."""
 
 import re
 from pathlib import Path
+
+import numpy as np
+
+from flexshuffle.instance import demo_instance, instance_from_text
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -26,3 +30,11 @@ def test_tour_blocks_are_found():
         "## Next\n```python\nb\n```\n"
     )
     assert tour_blocks(text) == ["a = 1\n"]
+
+
+def test_format_example_is_the_demo_instance():
+    section = README.read_text(encoding="utf-8").split("\n## Instance file format\n", 1)[1]
+    example = re.search(r"^```\n(.*?)^```$", section, flags=re.S | re.M).group(1)
+    inst, demo = instance_from_text(example), demo_instance()
+    assert np.array_equal(inst.placement.cells, demo.placement.cells)
+    assert inst.workload.functions == demo.workload.functions

@@ -85,7 +85,7 @@ def test_demo_exact_is_two():
     plan = min_raw_broadcasts(demo_instance())
     assert plan.size == 2
     assert plan.broadcast_messages == (1, 3)
-    assert len(plan.assignment) == 3
+    assert len(plan.assignment.pairs) == 3
 
 
 def test_demo_no_single_broadcast_works():
@@ -156,7 +156,7 @@ def test_assignment_valid_under_augmented_side_info():
             continue
         for plan in (min_raw_broadcasts(inst), greedy_raw_broadcasts(inst)):
             extra = set(plan.broadcast_messages)
-            assert len(plan.assignment) == inst.k
+            assert len(plan.assignment.pairs) == inst.k
             for k, i in plan.assignment.pairs:
                 for j in inst.workload.functions[k]:
                     assert inst.placement.cells[i, j] or j in extra
@@ -244,7 +244,7 @@ def test_demo_intermediate_is_three():
     plan = min_intermediate_broadcasts(demo_instance())
     assert plan.total == 3
     assert plan.cost_per_function == (1, 1, 1)
-    assert len(plan.assignment) == 3
+    assert len(plan.assignment.pairs) == 3
 
 
 def test_intermediate_zero_at_p1():
@@ -352,7 +352,7 @@ def test_ring_needs_no_broadcast():
     inst = ring_instance(broken=False)
     for plan in (greedy_raw_broadcasts(inst), min_raw_broadcasts(inst)):
         assert plan.size == 0
-        assert len(plan.assignment) == RING_K
+        assert len(plan.assignment.pairs) == RING_K
 
 
 def test_broken_ring_one_broadcast_through_every_function():
@@ -362,5 +362,5 @@ def test_broken_ring_one_broadcast_through_every_function():
     for plan in (greedy_raw_broadcasts(inst), min_raw_broadcasts(inst)):
         assert plan.broadcast_messages == (2 * K - 2,)
         assert plan.senders == ((2 * K - 2, 0),)
-        assert len(plan.assignment) == K
+        assert len(plan.assignment.pairs) == K
         assert dict(plan.assignment.pairs)[K - 1] == 1
