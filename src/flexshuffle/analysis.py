@@ -53,10 +53,14 @@ class TailCheck:
     bound: float
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def _check_trials(trials: int) -> None:
     if trials < 1:
         raise ValueError("trials must be >= 1")
+
+
+def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion."""
+    _check_trials(trials)
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -189,6 +193,7 @@ def mc_uncovered(
     mean stands in for the expectation, so quote them with the Monte Carlo
     standard error.
     """
+    _check_trials(trials)
     ys = np.asarray(
         [uncovered_count(random_instance(m, n, K, d, p, seed, t)) for t in range(trials)],
         dtype=np.int64,
@@ -219,6 +224,7 @@ def mc_outage(m, n, p, trials, seed) -> ProportionEstimate:
 def mc_fixed_uncoded(K, p, trials, seed) -> MeanEstimate:
     """Mean uncoded transmissions when function k is served only by its own
     pre-placed node: per function, 2 minus the inputs that node holds."""
+    _check_trials(trials)
 
     def trial(t):
         rng = np.random.default_rng(derive_seeds(seed, t)[0])

@@ -47,18 +47,31 @@ class Assignment:
             raise InvariantViolation("injective", f"{self.pairs}")
 
 
+def row_lists(matrix: np.ndarray) -> list[list[int]]:
+    """For each row of a 2-D boolean array, its True columns, ascending.
+
+    One flat scan is split at the row starts; a multi-dimensional
+    ``np.nonzero`` costs several times more on the small arrays the Monte
+    Carlo loop builds.
+    """
+    rows, cols = matrix.shape
+    flat = np.flatnonzero(matrix)
+    starts = np.searchsorted(flat, np.arange(0, (rows + 1) * cols, cols)).tolist()
+    found = (flat % cols).tolist()
+    return [found[a:b] for a, b in zip(starts, starts[1:])]
+
+
+def _cover(instance: Instance) -> np.ndarray:
+    """cover[k, i]: node i holds both inputs of function k, a (K, n) array."""
+    held = instance.placement.cells.T
+    j1, j2 = instance.workload.inputs.T
+    return held[j1] & held[j2]
+
+
 def build_coverage_graph(instance: Instance) -> CoverageGraph:
     """Edge (k, i) present iff node i holds both inputs of function k."""
-    cells = instance.placement.cells
-    j1, j2 = instance.workload.inputs.T
-    # nonzero walks the (K, n) matrix row by row, so each function's nodes
-    # come out ascending and the functions in order.
-    ks, nodes = np.nonzero((cells[:, j1] & cells[:, j2]).T)
-    ends = np.cumsum(np.bincount(ks, minlength=instance.k)).tolist()
-    nodes = nodes.tolist()
     return CoverageGraph(
-        n_nodes=instance.n,
-        adjacency=tuple(tuple(nodes[a:b]) for a, b in zip([0] + ends[:-1], ends)),
+        n_nodes=instance.n, adjacency=tuple(map(tuple, row_lists(_cover(instance))))
     )
 
 
@@ -161,13 +174,21 @@ def hopcroft_karp(adjacency, n_nodes: int) -> tuple[list[int], list[int], int]:
 
 
 def base_matching(instance: Instance):
-    """The zero-communication start of Y and of every raw and coded search:
-    the coverage adjacency as built, a maximum matching on it as
+    """The zero-communication start of every raw and coded search: the
+    coverage adjacency as built, a maximum matching on it as
     ``match_fn``/``match_node`` lists, and the matching's size."""
     adjacency = build_coverage_graph(instance).adjacency
     return adjacency, *hopcroft_karp(adjacency, instance.n)
 
 
 def uncovered_count(instance: Instance) -> int:
-    """Minimum number of functions left uncovered by any flexible assignment."""
-    return instance.k - base_matching(instance)[3]
+    """Minimum number of functions left uncovered by any flexible assignment.
+
+    Only the functions that fewer than K nodes cover are matched.  Any
+    other function can be matched after them, since the K - 1 other
+    functions take at most K - 1 of its nodes, so each of those adds one
+    to the maximum matching.
+    """
+    cover = _cover(instance)
+    few = np.flatnonzero(np.count_nonzero(cover, axis=1) < instance.k)
+    return len(few) - hopcroft_karp(row_lists(cover[few]), instance.n)[2]

@@ -234,31 +234,32 @@ def generate_functions(m: int, K: int, d: int, seed: int) -> FunctionSet:
     rng = np.random.default_rng(seed)
     batch = max(256, 4 * K)
     chosen: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    seen: set[int] = set()  # a * m + b for each chosen pair (a, b)
     counts = [0] * m
     failures = 0
-    while len(chosen) < K:
-        for a, b in rng.integers(0, m, size=(batch, 2)).tolist():
-            if len(chosen) == K:
-                break
-            pair = (a, b) if a < b else (b, a)
-            if (
-                a == b
-                or pair in seen
-                or counts[pair[0]] >= d
-                or counts[pair[1]] >= d
-            ):
+    need = K
+    while need:
+        draws = iter(rng.integers(0, m, size=2 * batch).tolist())
+        for a, b in zip(draws, draws):
+            if a > b:
+                a, b = b, a
+            key = a * m + b
+            if a == b or key in seen or counts[a] >= d or counts[b] >= d:
                 failures += 1
                 if failures >= 1000 * K:
                     chosen.clear()
                     seen.clear()
                     counts = [0] * m
                     failures = 0
+                    need = K
                 continue
-            chosen.append(pair)
-            seen.add(pair)
-            counts[pair[0]] += 1
-            counts[pair[1]] += 1
+            chosen.append((a, b))
+            seen.add(key)
+            counts[a] += 1
+            counts[b] += 1
+            need -= 1
+            if not need:
+                break
     return FunctionSet(functions=tuple(chosen), d=d)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .coverage import Assignment, augment, base_matching
+from .coverage import Assignment, augment, base_matching, row_lists
 from .errors import BudgetExceeded, Infeasible, Outage
 from .instance import Instance
 
@@ -66,9 +66,7 @@ def _input_tables(instance: Instance):
     """
     lacks = _lacks(instance)
     edges = lacks & ~lacks[:, ::-1]
-    flat = np.nonzero(edges)[2].tolist()
-    cuts = [0, *edges.sum(axis=2).cumsum().tolist()]
-    lists = [flat[a:b] for a, b in zip(cuts, cuts[1:])]
+    lists = row_lists(edges.reshape(-1, instance.n))
     nodes = [[*pair, None] for pair in zip(lists[::2], lists[1::2])]
     users: dict[int, list[tuple[int, int]]] = {}
     for k, pair in enumerate(instance.workload.functions):

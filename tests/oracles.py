@@ -6,6 +6,7 @@ library's algorithms (no matching, assignment or rank code is shared).
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from flexshuffle.engine import Transcript, decode_payload, encode_payload
@@ -20,8 +21,10 @@ def side_sets(placement):
 
 
 def brute_max_matching(adjacency, n_nodes: int) -> int:
-    """Largest injective partial assignment, by recursion over functions."""
+    """Largest injective partial assignment, by recursion over functions,
+    memoised on (function, nodes used) so K above n stays cheap."""
 
+    @functools.cache
     def go(k: int, used: frozenset) -> int:
         if k == len(adjacency):
             return 0

@@ -210,6 +210,22 @@ def test_mc_fixed_uncoded_matches_corrected_formula():
     assert abs(est.mean - expect.miscounted_mean) > 3 * est.se
 
 
+@pytest.mark.parametrize(
+    "estimator",
+    [
+        lambda trials: mc_no_shuffle(8, 6, 3, 2, 0.5, trials=trials, seed=1),
+        lambda trials: mc_uncovered(8, 6, 3, 2, 0.5, trials=trials, seed=1),
+        lambda trials: mc_outage(6, 8, 0.5, trials=trials, seed=1),
+        lambda trials: mc_fixed_uncoded(3, 0.5, trials=trials, seed=1),
+    ],
+    ids=["mc_no_shuffle", "mc_uncovered", "mc_outage", "mc_fixed_uncoded"],
+)
+@pytest.mark.parametrize("trials", [0, -1])
+def test_estimators_need_a_trial(estimator, trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        estimator(trials)
+
+
 def test_fixed_assignment_nodes_disjoint():
     groups = fixed_assignment_nodes(K=4, n=12, nodes_per_function=3)
     flat = [i for g in groups for i in g]

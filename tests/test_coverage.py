@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import brute_max_matching, covered_nodes, side_sets
 
@@ -9,10 +9,12 @@ from flexshuffle.coverage import (
     Assignment,
     CoverageGraph,
     augment,
+    base_matching,
     build_coverage_graph,
     hopcroft_karp,
     uncovered_count,
 )
+from flexshuffle.analysis import no_shuffle_threshold
 from flexshuffle.errors import InvariantViolation
 from flexshuffle.instance import (
     FunctionSet,
@@ -133,6 +135,87 @@ def test_uncovered_count_single_isolated_function():
     )
     assert brute_max_matching(build_coverage_graph(inst).adjacency, 3) == 2
     assert uncovered_count(inst) == 1
+
+
+def _rich_rows(inst) -> int:
+    """How many functions K or more nodes cover."""
+    return sum(len(adj) >= inst.k for adj in build_coverage_graph(inst).adjacency)
+
+
+# (m, n, K, d, p, seed): two of five functions have K or more covering
+# nodes; none of five has; K = 7 functions on n = 6 nodes.
+SLACK_EXAMPLES = {
+    "some rows rich": dict(m=12, n=6, K=5, d=2, p=0.7, seed=0),
+    "all rows poor": dict(m=12, n=6, K=5, d=2, p=0.4, seed=0),
+    "K > n": dict(m=12, n=6, K=7, d=2, p=1.0, seed=0),
+}
+
+
+def test_slack_examples_are_the_three_cases():
+    rich, poor, over = (random_instance(**args) for args in SLACK_EXAMPLES.values())
+    assert 0 < _rich_rows(rich) < rich.k
+    assert _rich_rows(poor) == 0
+    assert over.k > over.n
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(2, 12),
+    n=st.integers(1, 10),
+    K=st.integers(0, 12),
+    d=st.integers(1, 4),
+    p=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(**SLACK_EXAMPLES["some rows rich"])
+@example(**SLACK_EXAMPLES["all rows poor"])
+@example(**SLACK_EXAMPLES["K > n"])
+def test_uncovered_count_matches_full_matching(m, n, K, d, p, seed):
+    K = min(K, d * m // 2, m * (m - 1) // 2)
+    inst = random_instance(m, n, K, d, p, seed)
+    adjacency = build_coverage_graph(inst).adjacency
+    matched = hopcroft_karp(adjacency, n)[2]
+    assert uncovered_count(inst) == K - matched == K - brute_max_matching(adjacency, n)
+    assert K - base_matching(inst)[3] == K - matched
+
+
+def test_uncovered_count_when_rich_functions_share_every_node():
+    # Function 0 is covered by all K = 4 nodes, and each of those nodes
+    # also covers one of the others: functions 1 and 2 only at node 0,
+    # function 3 at nodes 1-3.  One of functions 1 and 2 stays uncovered.
+    inst = Instance(
+        placement=Placement.from_sets(
+            m=8,
+            n=4,
+            side_info=({0, 1, 2, 3, 4, 5}, {0, 1, 6, 7}, {0, 1, 6, 7}, {0, 1, 6, 7}),
+        ),
+        workload=FunctionSet(functions=((0, 1), (2, 3), (4, 5), (6, 7)), d=1),
+    )
+    adjacency = build_coverage_graph(inst).adjacency
+    assert adjacency == ((0, 1, 2, 3), (0,), (0,), (1, 2, 3))
+    assert brute_max_matching(adjacency, 4) == 3
+    assert uncovered_count(inst) == 1 == inst.k - base_matching(inst)[3]
+
+
+def test_uncovered_count_above_threshold_at_monte_carlo_size():
+    # The c03 size at 5 p_th: nearly every function has K or more nodes.
+    p = 5 * no_shuffle_threshold(200, 100)
+    inst = random_instance(200, 200, 100, 2, p, seed=5, trial=3)
+    assert _rich_rows(inst) > 90
+    assert uncovered_count(inst) == 0 == inst.k - base_matching(inst)[3]
+
+
+@pytest.mark.parametrize(
+    "mult, ys",
+    [
+        (0.2, [90, 78, 83, 78, 82, 86, 84, 84]),
+        (1.0, [0, 0, 1, 1, 1, 1, 0, 2]),
+        (5.0, [0, 0, 0, 0, 0, 0, 0, 0]),
+    ],
+)
+def test_uncovered_count_pinned_at_monte_carlo_size(mult, ys):
+    p = mult * no_shuffle_threshold(200, 100)
+    assert [uncovered_count(random_instance(200, 200, 100, 2, p, 5, t)) for t in range(8)] == ys
 
 
 def test_matching_equals_brute_force():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -122,6 +123,30 @@ def test_generate_functions_restart_is_pinned():
     # This draw takes its first three pairs, then can only reject (every
     # pair left is taken or capped) until 4000 rejections restart it.
     assert generate_functions(4, 4, 2, seed=17).functions == ((0, 2), (2, 3), (1, 3), (0, 1))
+
+
+def test_generate_functions_repeated_restarts_are_pinned():
+    # m=6, K=6, d=2 leaves so few pairs that this draw restarts three
+    # times before a full set is accepted.
+    assert generate_functions(6, 6, 2, seed=20).functions == (
+        (4, 5), (0, 2), (1, 3), (2, 5), (0, 1), (3, 4),
+    )
+
+
+@pytest.mark.parametrize(
+    "seed, digest, first, last",
+    [
+        (0, "6916423b6271d7d3", (127, 170), (117, 160)),
+        (1, "8de8077bc51286a0", (94, 102), (27, 194)),
+        (2, "7eca5daf76f72201", (52, 167), (9, 193)),
+        (777, "31c0e7122d4845ef", (122, 181), (180, 193)),
+    ],
+)
+def test_generate_functions_pinned_at_monte_carlo_size(seed, digest, first, last):
+    # The c03 workload size: m=200, K=100, d=2.
+    pairs = generate_functions(200, 100, 2, seed).functions
+    assert (pairs[0], pairs[-1]) == (first, last)
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest()[:16] == digest
 
 
 @settings(max_examples=60, deadline=None)
