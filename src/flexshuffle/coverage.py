@@ -190,5 +190,5 @@ def uncovered_count(instance: Instance) -> int:
     to the maximum matching.
     """
     cover = _cover(instance)
-    few = np.flatnonzero(np.count_nonzero(cover, axis=1) < instance.k)
-    return len(few) - hopcroft_karp(row_lists(cover[few]), instance.n)[2]
+    few = cover[cover.sum(axis=1) < instance.k]
+    return len(few) - hopcroft_karp(row_lists(few), instance.n)[2]

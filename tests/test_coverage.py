@@ -176,7 +176,6 @@ def test_uncovered_count_matches_full_matching(m, n, K, d, p, seed):
     adjacency = build_coverage_graph(inst).adjacency
     matched = hopcroft_karp(adjacency, n)[2]
     assert uncovered_count(inst) == K - matched == K - brute_max_matching(adjacency, n)
-    assert K - base_matching(inst)[3] == K - matched
 
 
 def test_uncovered_count_when_rich_functions_share_every_node():
