@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import brute_max_matching, covered_nodes, side_sets
 
+from flexshuffle.analysis import no_shuffle_threshold
 from flexshuffle.coverage import (
     Assignment,
     CoverageGraph,
@@ -14,7 +15,6 @@ from flexshuffle.coverage import (
     hopcroft_karp,
     uncovered_count,
 )
-from flexshuffle.analysis import no_shuffle_threshold
 from flexshuffle.errors import InvariantViolation
 from flexshuffle.instance import (
     FunctionSet,
@@ -142,7 +142,7 @@ def _rich_rows(inst) -> int:
     return sum(len(adj) >= inst.k for adj in build_coverage_graph(inst).adjacency)
 
 
-# (m, n, K, d, p, seed): two of five functions have K or more covering
+# One draw of each case: two of five functions have K or more covering
 # nodes; none of five has; K = 7 functions on n = 6 nodes.
 SLACK_EXAMPLES = {
     "some rows rich": dict(m=12, n=6, K=5, d=2, p=0.7, seed=0),
