@@ -58,13 +58,14 @@ def _check_trials(trials: int) -> None:
         raise ValueError("trials must be >= 1")
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion at 95% confidence."""
     _check_trials(trials)
     phat = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (phat + z * z / (2 * trials)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
+    z2 = Z95 * Z95
+    denom = 1.0 + z2 / trials
+    center = (phat + z2 / (2 * trials)) / denom
+    half = Z95 * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 
@@ -83,13 +84,23 @@ def _mean(values) -> MeanEstimate:
 # Closed forms
 
 
+def _check_p(p: float) -> None:
+    # Written so that nan fails too.
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+
+
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+
+
 def no_shuffle_threshold(n: int, K: int) -> float:
     """Allocation probability sqrt(ln(K)/n) above which a flexible
     assignment almost surely needs no communication, clamped to <= 1."""
     if K < 2:
         raise ValueError(f"threshold needs K >= 2, got {K}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_n(n)
     return min(1.0, math.sqrt(math.log(K) / n))
 
 
@@ -98,14 +109,14 @@ def outage_threshold(m: int, n: int) -> float:
     surely held by nobody, clamped to <= 1."""
     if m < 2:
         raise ValueError(f"outage threshold needs m >= 2, got {m}")
+    _check_n(n)
     return min(1.0, math.log(m) / n)
 
 
 def missing_message_prob(m: int, n: int, p: float) -> float:
     """Exact probability that at least one of m messages is held by no
     node: 1 - (1 - (1-p)^n)^m."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    _check_p(p)
     return 1.0 - (1.0 - (1.0 - p) ** n) ** m
 
 
@@ -122,6 +133,7 @@ def fixed_assignment_threshold(K: int, nodes_per_function: float) -> float:
 def expected_nowhere_covered(n: int, K: int, p: float) -> float:
     """Exact expected number of functions no single node can compute:
     K(1-p^2)^n."""
+    _check_p(p)
     return K * (1.0 - p * p) ** n
 
 
@@ -129,12 +141,14 @@ def no_shuffle_failure_bound(n: int, K: int, p: float) -> float:
     """Union bound K(1-p^2)^(n-K) on the probability that some function
     stays uncovered under the best flexible assignment (needs K <= n/2 for
     the regime it was derived in)."""
+    _check_p(p)
     return min(1.0, K * (1.0 - p * p) ** (n - K))
 
 
 def azuma_bound(n: int, deviation: float) -> float:
     """exp(-a^2 / 2n): lower-tail bound for a 1-Lipschitz function of n
     independently exposed nodes."""
+    _check_n(n)
     if deviation <= 0:
         raise ValueError("deviation must be positive")
     return math.exp(-deviation * deviation / (2.0 * n))
@@ -155,8 +169,7 @@ class FixedUncodedExpectation:
 
 
 def expected_fixed_uncoded(K: int, p: float) -> FixedUncodedExpectation:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    _check_p(p)
     return FixedUncodedExpectation(
         mean=2.0 * K * (1.0 - p),
         miscounted_mean=K * (2.0 - 2.0 * p + p * p),

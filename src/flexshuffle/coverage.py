@@ -75,7 +75,7 @@ def build_coverage_graph(instance: Instance) -> CoverageGraph:
     )
 
 
-def augment(adjacency, match_fn: list[int], match_node: list[int], roots=None) -> int:
+def augment(adjacency, match_fn: list[int], match_node: list[int], roots) -> int:
     """Grow a matching to maximum cardinality in place (Hopcroft-Karp).
 
     ``match_fn[k]`` is function k's node and ``match_node[i]`` node i's
@@ -87,13 +87,10 @@ def augment(adjacency, match_fn: list[int], match_node: list[int], roots=None) -
 
     ``roots`` are the free functions that have edges, ascending; a free
     function without edges can never be matched, so it is neither a BFS
-    root nor a DFS start.  When None, all K functions are scanned for them;
-    a caller that tracks its free functions passes them to skip the scan.
+    root nor a DFS start.
     """
     K = len(adjacency)
     gained = 0
-    if roots is None:
-        roots = [k for k, i in enumerate(match_fn) if i == _INF and adjacency[k]]
     # Cheap greedy pass; Hopcroft-Karp phases then only clean up.
     for k in roots:
         for i in adjacency[k]:
@@ -169,7 +166,8 @@ def hopcroft_karp(adjacency, n_nodes: int) -> tuple[list[int], list[int], int]:
     """
     match_fn = [_INF] * len(adjacency)
     match_node = [_INF] * n_nodes
-    matched = augment(adjacency, match_fn, match_node)
+    roots = [k for k, row in enumerate(adjacency) if row]
+    matched = augment(adjacency, match_fn, match_node, roots)
     return match_fn, match_node, matched
 
 

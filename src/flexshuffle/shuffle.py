@@ -173,7 +173,8 @@ def greedy_raw_broadcasts(instance: Instance) -> UncodedPlan:
     the plan never exceeds the number of distinct messages those functions
     demand.  Edges and the matching are maintained incrementally: adding a
     broadcast only ever completes edges whose last missing message it is,
-    and the maximum matching is re-augmented in place.
+    and the winner's graph and matching, grown on copies while it was
+    scored, become the current ones.
     """
     check_solvable(instance)
     K = instance.k
@@ -187,7 +188,7 @@ def greedy_raw_broadcasts(instance: Instance) -> UncodedPlan:
     while matched < K:
         free = [k for k in range(K) if match_fn[k] == -1]
         pool = sorted({j for k in free for j in functions[k]} - broadcast)
-        best_gain, best_j = -1, None
+        best_gain, best = -1, None
         for j in pool:
             gains = _gains((j,), lacks, nodes, users)
             # The new augmenting paths are vertex-disjoint and each uses a
@@ -196,23 +197,23 @@ def greedy_raw_broadcasts(instance: Instance) -> UncodedPlan:
             if len(gains) <= best_gain:
                 continue
             trial = _grown(adjacency, gains)
-            roots = [k for k in free if trial[k]]
-            gain = augment(trial, match_fn.copy(), match_node.copy(), roots)
+            trial_fn, trial_node = match_fn.copy(), match_node.copy()
+            gain = augment(trial, trial_fn, trial_node, [k for k in free if trial[k]])
             if gain > best_gain:
-                best_gain, best_j = gain, j
+                best_gain, best = gain, (j, trial, trial_fn, trial_node)
                 # No gain exceeds K - matched and only a strictly larger
                 # one replaces the best, so the scan can stop here.
                 if best_gain == K - matched:
                     break
+        # Every node now has the winner's input, so only the functions
+        # reading it change: their node lists refill from the new lack rows
+        # when next read.
+        best_j, adjacency, match_fn, match_node = best
         broadcast.add(best_j)
-        # Only the functions reading best_j change: its edges join the
-        # graph, every node now has that input, and their node lists
-        # refill from the new lack rows when next read.
-        adjacency = _grown(adjacency, _gains((best_j,), lacks, nodes, users))
+        matched += best_gain
         for k, s in users[best_j]:
             lacks[k, s] = False
             nodes[k] = [None, None, None]
-        matched += augment(adjacency, match_fn, match_node)
     return _plan(instance, tuple(sorted(broadcast)), match_fn, uncovered)
 
 

@@ -112,6 +112,12 @@ def test_expected_fixed_uncoded():
         lambda: missing_message_prob(5, 5, float("nan")),
         lambda: fixed_assignment_threshold(10, 0.5),
         lambda: expected_fixed_uncoded(10, -0.1),
+        lambda: expected_nowhere_covered(10, 5, 1.5),
+        lambda: expected_nowhere_covered(10, 5, float("nan")),
+        lambda: no_shuffle_failure_bound(10, 5, 1.5),
+        lambda: no_shuffle_failure_bound(10, 5, -0.5),
+        lambda: azuma_bound(0, 1.0),
+        lambda: outage_threshold(10, 0),
     ],
 )
 def test_closed_forms_reject_out_of_domain_arguments(call):

@@ -186,3 +186,88 @@ def test_public_functions_are_reached(path):
 def test_unreached_public_defs_are_found(source, others, found):
     trees = [ast.parse(other) for other in others]
     assert unreached_public_defs(ast.parse(source), trees) == found
+
+
+# Defaulted parameters that no reaching call sets, kept on purpose: each
+# mirrors a parameter that the pipeline does set.
+UNSET_DEFAULTS_KEPT = {
+    # sweep's nodes_per_function, for the fixed baseline run on its own
+    "mc_fixed_no_shuffle.nodes_per_function",
+    # best_coded_plan's free_cap, for a fitting matrix ranked on its own
+    "minrank_gf2.free_cap",
+}
+
+
+def defaulted_params(tree: ast.Module) -> dict[str, list[tuple[int | None, str]]]:
+    """For each public module-level function, its defaulted parameters as
+    (position, name) pairs; keyword-only ones have no position."""
+    found = {}
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+            node.name.startswith("_")
+        ):
+            continue
+        args = node.args
+        positional = [*args.posonlyargs, *args.args]
+        first = len(positional) - len(args.defaults)
+        params = [(pos, arg.arg) for pos, arg in enumerate(positional) if pos >= first]
+        params += [
+            (None, arg.arg) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None
+        ]
+        if params:
+            found[node.name] = params
+    return found
+
+
+def unset_defaults(tree: ast.Module, sources) -> list[str]:
+    """``function.parameter`` for each defaulted parameter of ``tree`` that
+    no call in ``sources`` passes, by keyword or by position.  A call that
+    unpacks ``*args`` or ``**kwargs`` counts as passing everything."""
+    params = defaulted_params(tree)
+    passed = {name: set() for name in params}
+    for source in sources:
+        for node in ast.walk(source):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name not in params:
+                continue
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            keywords = {kw.arg for kw in node.keywords}
+            for pos, param in params[name]:
+                if (
+                    starred or None in keywords or param in keywords
+                    or (pos is not None and pos < len(node.args))
+                ):
+                    passed[name].add(param)
+    return [
+        f"{name}.{param}" for name, found in params.items()
+        for _, param in found if param not in passed[name]
+    ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"],
+    ids=lambda p: p.name,
+)
+def test_optional_parameters_are_set(path):
+    sources = reaching_sources()
+    unset = unset_defaults(sources[path], sources.values())
+    assert [name for name in unset if name not in UNSET_DEFAULTS_KEPT] == []
+
+
+@pytest.mark.parametrize(
+    "source, others, found",
+    [("def f(a, b=1): pass", ["f(0)"], ["f.b"]),
+     ("def f(a, b=1): pass", ["f(0, 2)"], []),
+     ("def f(a, b=1): pass", ["m.f(0, b=2)"], []),
+     ("def f(a, *, c=1, d): pass", ["f(0, d=1)"], ["f.c"]),
+     ("def f(a, b=1): pass\ndef _g(c=1): pass", ["f(*xs)", "_g()"], []),
+     ("def f(a=1, b=2): pass", ["f(**kw)", "g(a=1)"], [])],
+)
+def test_unset_defaults_are_found(source, others, found):
+    trees = [ast.parse(other) for other in others]
+    assert unset_defaults(ast.parse(source), trees) == found

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 
 import oracles
 import pytest
@@ -173,6 +174,27 @@ def test_greedy_zero_when_covered():
         workload=generate_functions(8, 4, 2, seed=1),
     )
     assert greedy_raw_broadcasts(inst).size == 0
+
+
+def test_greedy_plans_are_pinned():
+    # sha256 of 176 greedy plans at d = 1 to 4 (the golden file has no
+    # d = 1 greedy case), recorded before greedy committed its scored
+    # candidate instead of rebuilding it.
+    lines = []
+    for d in (1, 2, 3, 4):
+        for p in (0.2, 0.3):
+            for s in range(25):
+                inst = random_instance(40, 20, 10, d, p, s)
+                if missing_messages(inst):
+                    continue
+                plan = greedy_raw_broadcasts(inst)
+                lines.append(repr((
+                    plan.broadcast_messages, plan.senders, plan.assignment.pairs, plan.uncovered,
+                )))
+    assert len(lines) == 176
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "067f5ef8b7c8250e1bdbc80c70eaa317f7e181285a3746ef0b78719704f8812f"
+    )
 
 
 def test_exact_matches_subset_oracle():
