@@ -15,7 +15,7 @@ import numpy as np
 
 from .coverage import uncovered_count
 from .errors import Outage
-from .instance import Instance, derive_seeds, generate_placement, random_instance
+from .instance import Instance, derive_seeds, random_instance
 from .shuffle import greedy_raw_broadcasts
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -226,12 +226,17 @@ def mc_uncovered(
 
 def mc_outage(m, n, p, trials, seed) -> ProportionEstimate:
     """Fraction of random placements leaving at least one of the m messages
-    held by no node; compare with missing_message_prob."""
-    outages = sum(
-        not generate_placement(m, n, p, derive_seeds(seed, t)[0]).cells.any(axis=0).all()
-        for t in range(trials)
-    )
-    return _proportion(outages, trials)
+    held by no node; compare with missing_message_prob.  Trial t draws the
+    cells of ``generate_placement(m, n, p, derive_seeds(seed, t)[0])``."""
+    _check_p(p)
+    if m < 1 or n < 1:
+        raise ValueError(f"m and n must be >= 1, got m={m}, n={n}")
+
+    def outage(t):
+        cells = np.random.default_rng(derive_seeds(seed, t)[0]).random((n, m)) < p
+        return not cells.any(axis=0).all()
+
+    return _proportion(sum(outage(t) for t in range(trials)), trials)
 
 
 def mc_fixed_uncoded(K, p, trials, seed) -> MeanEstimate:

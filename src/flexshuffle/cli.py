@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -125,49 +126,61 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
-    """Parse ``argv`` with the ``--config`` file's values as the command's
-    flag defaults.  Each value the command knows is checked as its flag's
-    argument would be, and a flag the file supplies is no longer required;
-    keys the command does not know are ignored."""
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The command-line parser, built on the first call and never changed
+    after, and a probe that reads only the ``--config`` path and the
+    command with its arguments, as the parser splits them."""
+    probe = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    probe.add_argument("--config")
+    probe.add_argument("command", nargs=argparse.REMAINDER)
+    return build_parser(), probe
+
+
+def _parse(argv) -> argparse.Namespace:
+    """Parse ``argv`` with the ``--config`` file's values placed as the
+    command's flags right after it, so that explicit flags win and a flag
+    the file supplies is no longer required.  Keys the command does not
+    know, its positionals and its help are skipped."""
+    parser, probe = _parsers()
     commands = parser._subparsers._group_actions[0].choices
-    required = [a for cmd in commands.values() for a in cmd._actions if a.required]
-    # The probe only finds the command and the file, so it must not demand
-    # flags the file may supply.
-    for action in required:
-        action.required = False
-    probe, _ = parser.parse_known_args(argv)
-    defaults = {}
-    if probe.config:
-        try:
-            with open(probe.config, "r", encoding="utf-8") as fh:
-                defaults = json.load(fh)
-        except (OSError, ValueError) as exc:
-            parser.error(f"--config {probe.config}: {exc}")
-        if not isinstance(defaults, dict):
-            parser.error(f"--config {probe.config}: expected a JSON object")
-        command = commands[probe.command]
-        for action in command._actions:
-            if action.dest in defaults:
-                value = _config_value(parser, action, defaults[action.dest])
-                command.set_defaults(**{action.dest: value})
-    for action in required:
-        action.required = action.dest not in defaults
-    return parser.parse_args(argv)
+    try:
+        known, _ = probe.parse_known_args(argv)
+    except argparse.ArgumentError:  # the parser reports it
+        return parser.parse_args(argv)
+    if known.config is None or not known.command or known.command[0] not in commands:
+        return parser.parse_args(argv)
+    try:
+        with open(known.config, "r", encoding="utf-8") as fh:
+            values = json.load(fh)
+    except (OSError, ValueError) as exc:
+        parser.error(f"--config {known.config}: {exc}")
+    if not isinstance(values, dict):
+        parser.error(f"--config {known.config}: expected a JSON object")
+    flags = [
+        flag
+        for action in commands[known.command[0]]._actions
+        if action.option_strings and action.dest != "help" and action.dest in values
+        for flag in _config_flags(parser, action, values[action.dest])
+    ]
+    at = len(argv) - len(known.command) + 1
+    return parser.parse_args([*argv[:at], *flags, *argv[at:]])
 
 
-def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, value):
-    """``value`` from the config file, converted by the flag's ``type`` and
-    held to its ``choices`` as the command line would; a store_true flag
-    takes only a JSON boolean.  Exits 2 naming the key otherwise."""
+def _config_flags(parser: argparse.ArgumentParser, action: argparse.Action, value) -> list[str]:
+    """The command-line form of ``value`` from the config file, checked by
+    the flag's ``type`` and ``choices`` as the command line would check it;
+    a store_true flag takes only a JSON boolean.  Exits 2 naming the key
+    otherwise."""
+    flag = action.option_strings[-1]
     if action.nargs == 0:
         if isinstance(value, bool):
-            return value
+            return [flag] if value else []
     elif isinstance(value, (str, int, float)):
         with contextlib.suppress(TypeError, ValueError):
             converted = (action.type or str)(str(value))
             if action.choices is None or converted in action.choices:
-                return converted
+                return [f"{flag}={value}"]
     parser.error(f"--config: invalid value {value!r} for {action.dest!r}")
 
 
@@ -287,8 +300,7 @@ def cmd_demo(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = _apply_config(parser, list(sys.argv[1:] if argv is None else argv))
+    args = _parse(list(sys.argv[1:] if argv is None else argv))
     handlers = {"gen": cmd_gen, "solve": cmd_solve, "sweep": cmd_sweep, "demo": cmd_demo}
     try:
         return handlers[args.command](args)

@@ -150,7 +150,9 @@ class FunctionSet:
     ``inputs`` is the read-only (K, 2) index array of the same pairs: row k
     holds function k's inputs.  It is built once, and the invariants are
     checked on it; only a set that fails them is walked pair by pair, to
-    name the first offending pair.
+    name the first offending pair.  ``generate_functions`` held each pair
+    it accepted to the invariants as it drew it, so it hands over their
+    array, and its sets are neither converted nor checked again.
     """
 
     functions: tuple[tuple[int, int], ...]
@@ -165,6 +167,17 @@ class FunctionSet:
             _check_pairs(self.functions, self.d)
         inputs.flags.writeable = False
         object.__setattr__(self, "inputs", inputs)
+
+    @classmethod
+    def _sampled(cls, functions, inputs: np.ndarray, d: int) -> FunctionSet:
+        """The set of pairs the sampler accepted, each already held to every
+        invariant, with their (K, 2) ``np.intp`` array: nothing is checked
+        or converted again."""
+        sampled = object.__new__(cls)
+        inputs.flags.writeable = False
+        for name, value in (("functions", functions), ("d", d), ("inputs", inputs)):
+            object.__setattr__(sampled, name, value)
+        return sampled
 
     @property
     def k(self) -> int:
@@ -234,6 +247,7 @@ def generate_functions(m: int, K: int, d: int, seed: int) -> FunctionSet:
     rng = np.random.default_rng(seed)
     batch = max(256, 4 * K)
     chosen: list[tuple[int, int]] = []
+    flat: list[int] = []  # the chosen pairs, end to end
     seen: set[int] = set()  # a * m + b for each chosen pair (a, b)
     counts = [0] * m
     failures = 0
@@ -248,19 +262,22 @@ def generate_functions(m: int, K: int, d: int, seed: int) -> FunctionSet:
                 failures += 1
                 if failures >= 1000 * K:
                     chosen.clear()
+                    flat.clear()
                     seen.clear()
                     counts = [0] * m
                     failures = 0
                     need = K
                 continue
             chosen.append((a, b))
+            flat += (a, b)
             seen.add(key)
             counts[a] += 1
             counts[b] += 1
             need -= 1
             if not need:
                 break
-    return FunctionSet(functions=tuple(chosen), d=d)
+    inputs = np.array(flat, dtype=np.intp).reshape(K, 2)
+    return FunctionSet._sampled(tuple(chosen), inputs, d)
 
 
 def demo_instance() -> Instance:

@@ -174,7 +174,10 @@ def greedy_raw_broadcasts(instance: Instance) -> UncodedPlan:
     demand.  Edges and the matching are maintained incrementally: adding a
     broadcast only ever completes edges whose last missing message it is,
     and the winner's graph and matching, grown on copies while it was
-    scored, become the current ones.
+    scored, become the current ones.  Each candidate's ``_gains`` list is
+    kept across rounds: a broadcast changes only the lack rows of the
+    functions reading the winner, so only the lists of the messages those
+    functions read are dropped, to be rebuilt when next scored.
     """
     check_solvable(instance)
     K = instance.k
@@ -185,12 +188,15 @@ def greedy_raw_broadcasts(instance: Instance) -> UncodedPlan:
     functions = instance.workload.functions
     lacks, nodes, users = _input_tables(instance)
     broadcast: set[int] = set()
+    gains_of: dict[int, list] = {}
     while matched < K:
         free = [k for k in range(K) if match_fn[k] == -1]
         pool = sorted({j for k in free for j in functions[k]} - broadcast)
         best_gain, best = -1, None
         for j in pool:
-            gains = _gains((j,), lacks, nodes, users)
+            gains = gains_of.get(j)
+            if gains is None:
+                gains = gains_of[j] = _gains((j,), lacks, nodes, users)
             # The new augmenting paths are vertex-disjoint and each uses a
             # new edge, so the gain is at most the number of functions
             # with one; a candidate that cannot beat the best is not scored.
@@ -206,14 +212,16 @@ def greedy_raw_broadcasts(instance: Instance) -> UncodedPlan:
                 if best_gain == K - matched:
                     break
         # Every node now has the winner's input, so only the functions
-        # reading it change: their node lists refill from the new lack rows
-        # when next read.
+        # reading it change: their node lists, and the gain lists of the
+        # messages they read, refill from the new lack rows when next read.
         best_j, adjacency, match_fn, match_node = best
         broadcast.add(best_j)
         matched += best_gain
         for k, s in users[best_j]:
             lacks[k, s] = False
             nodes[k] = [None, None, None]
+            for j in functions[k]:
+                gains_of.pop(j, None)
     return _plan(instance, tuple(sorted(broadcast)), match_fn, uncovered)
 
 

@@ -26,6 +26,7 @@ from flexshuffle.analysis import (
     sweep_to_csv,
     wilson_interval,
 )
+from flexshuffle.instance import derive_seeds, generate_placement
 
 E = math.e
 
@@ -184,6 +185,24 @@ def test_mc_uncovered_tails_respect_bound():
 def test_mc_outage_extremes():
     assert mc_outage(6, 8, 1.0, trials=50, seed=1).fraction == 0.0
     assert mc_outage(6, 8, 0.0, trials=50, seed=1).fraction == 1.0
+
+
+def test_mc_outage_reads_the_placement_draw():
+    # trial t sees the cells generate_placement draws from trial t's seed
+    for m, n, p in ((6, 8, 0.2), (12, 4, 0.35), (3, 3, 0.5)):
+        outages = sum(
+            not generate_placement(m, n, p, derive_seeds(7, t)[0]).cells.any(axis=0).all()
+            for t in range(200)
+        )
+        assert mc_outage(m, n, p, trials=200, seed=7).fraction == outages / 200
+
+
+@pytest.mark.parametrize(
+    "m, n, p", [(6, 8, 1.5), (6, 8, -0.1), (6, 8, math.nan), (0, 8, 0.5), (6, 0, 0.5)]
+)
+def test_mc_outage_rejects_bad_arguments(m, n, p):
+    with pytest.raises(ValueError, match="must"):
+        mc_outage(m, n, p, trials=3, seed=1)
 
 
 def test_mc_outage_matches_closed_form():

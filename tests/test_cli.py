@@ -379,3 +379,41 @@ def test_sweep_rejects_p_values_that_are_not_floats(capsys, p_values):
     assert code == cli.EXIT_USAGE
     assert "--p-values must be comma-separated floats" in err
     assert out == ""
+
+
+def parser_state(parser):
+    """Each action's ``required`` and ``default``, and each parser's
+    ``set_defaults`` table, for the parser and every command's parser."""
+    commands = parser._subparsers._group_actions[0].choices
+    return [
+        (name, dict(p._defaults), [(a.dest, a.required, a.default) for a in p._actions])
+        for name, p in [("", parser), *commands.items()]
+    ]
+
+
+def test_parser_is_built_once_and_never_changed(tmp_path, capsys, monkeypatch):
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parsers.cache_clear()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"m": 10, "n": 8, "K": 3, "p_values": "0.5", "seed": 4}))
+    flags = ["--m", "10", "--n", "8", "--K", "3", "--trials", "5"]
+    code, first, _ = run(capsys, "sweep", *flags, "--p-values", "0.5")
+    assert code == cli.EXIT_OK
+    before = parser_state(cli._parsers()[0])
+    code, seeded, _ = run(capsys, "--config", str(config), "sweep", "--trials", "5")
+    assert code == cli.EXIT_OK and seeded != first
+    assert parser_state(cli._parsers()[0]) == before
+    # the file's p_values and seed do not outlive the call that read it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", *flags])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "--p-values" in capsys.readouterr().err
+    assert run(capsys, "sweep", *flags, "--p-values", "0.5") == (cli.EXIT_OK, first, "")
+    assert len(builds) == 1

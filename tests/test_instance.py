@@ -159,8 +159,11 @@ def test_generate_functions_invariants(data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     fs = generate_functions(m, K, d, seed)
     assert fs.k == K
-    # constructing FunctionSet revalidates distinctness and the cap
-    FunctionSet(functions=fs.functions, d=d)
+    # the sampler's set is not checked again; the checked hand-built set of
+    # the same pairs is equal to it, array and all
+    checked = FunctionSet(functions=fs.functions, d=d)
+    assert fs == checked and fs.inputs.dtype == checked.inputs.dtype
+    assert np.array_equal(fs.inputs, checked.inputs) and not fs.inputs.flags.writeable
     assert all(0 <= j < m for pair in fs.functions for j in pair)
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import brute_min_intermediate, brute_min_raw_broadcasts, side_sets
 from test_coverage import small_instances
 
+from flexshuffle.analysis import no_shuffle_threshold
 from flexshuffle.coding import best_coded_plan
 from flexshuffle.coverage import uncovered_count
 from flexshuffle.errors import BudgetExceeded, Infeasible, Outage
@@ -194,6 +195,29 @@ def test_greedy_plans_are_pinned():
     assert len(lines) == 176
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "067f5ef8b7c8250e1bdbc80c70eaa317f7e181285a3746ef0b78719704f8812f"
+    )
+
+
+def test_greedy_plans_are_pinned_at_sweep_size():
+    # sha256 of 91 greedy plans at the sweep workload's size, recorded
+    # before greedy kept its gain lists across rounds.  At 0.5 p_th a plan
+    # takes about 15 rounds, and gain-2 winners are common, so each plan
+    # drops and rebuilds many kept lists.
+    p_th = no_shuffle_threshold(100, 50)
+    lines = []
+    for d in (2, 3):
+        for mult in (0.2, 0.5, 1.0):
+            for s in range(20):
+                inst = random_instance(100, 100, 50, d, mult * p_th, s)
+                if missing_messages(inst):
+                    continue
+                plan = greedy_raw_broadcasts(inst)
+                lines.append(repr((
+                    plan.broadcast_messages, plan.senders, plan.assignment.pairs, plan.uncovered,
+                )))
+    assert len(lines) == 91
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "4c6bb4471899e48f4a02e46c05c74511fcf226b14d7452f43ec398fbc99cca50"
     )
 
 
