@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -49,16 +48,6 @@ class FittingMatrix:
     @property
     def n_cols(self) -> int:
         return len(self.columns)
-
-    @cached_property
-    def free_cells(self) -> tuple[tuple[int, int], ...]:
-        """(row, column) positions of free cells, row-major."""
-        return tuple(
-            (r, c)
-            for r, fm in enumerate(self.free)
-            for c in range(self.n_cols)
-            if fm & (1 << c)
-        )
 
 
 @dataclass(frozen=True)
@@ -125,39 +114,63 @@ def build_fitting_matrix(receivers) -> FittingMatrix:
     )
 
 
-def _completion_rows(fm: FittingMatrix, completion: int) -> tuple[int, ...]:
-    rows = [1 << dc for dc in fm.demand_col]
-    for f, (r, c) in enumerate(fm.free_cells):
-        if (completion >> f) & 1:
-            rows[r] |= 1 << c
-    return tuple(rows)
+# These caps only keep the refusals the coded search has always made; the
+# row search below needs neither to bound its memory.
+MAX_FREE = 24
+MAX_COLS = 32
 
 
 def _check_caps(fm: FittingMatrix, free_cap: int) -> None:
     """Raise CapExceeded when the matrix has more free cells than
-    ``free_cap`` or ``gf2.MAX_FREE``, or more columns than
-    ``gf2.completion_ranks`` takes."""
+    ``free_cap`` or ``MAX_FREE``, or more columns than ``MAX_COLS``."""
     n_free = sum(f.bit_count() for f in fm.free)
-    cap = min(free_cap, gf2.MAX_FREE)
+    cap = min(free_cap, MAX_FREE)
     if n_free > cap:
         raise CapExceeded("free cells", n_free, cap)
-    if fm.n_cols > gf2.MAX_COLS:
-        raise CapExceeded("fitting-matrix columns", fm.n_cols, gf2.MAX_COLS)
+    if fm.n_cols > MAX_COLS:
+        raise CapExceeded("fitting-matrix columns", fm.n_cols, MAX_COLS)
 
 
-def _completions_by_rank(fm: FittingMatrix):
-    """(rank, rows) of every completion, lowest rank first; equal ranks
-    keep completion order.  The caller checks the caps."""
-    base = [1 << dc for dc in fm.demand_col]
-    ranks = gf2.completion_ranks(base, fm.free_cells, fm.n_cols)
-    return (
-        (int(ranks[pos]), _completion_rows(fm, int(pos)))
-        for pos in np.argsort(ranks, kind="stable")
-    )
+def _completions_by_rank(fm: FittingMatrix, below=None):
+    """(rank, rows) of each completion of rank below ``below`` (of every
+    completion when it is None), lowest rank first; equal ranks come in
+    completion order.  The caller checks the caps.
+
+    Completion order counts the free cells row-major, row 0's lowest.  For
+    each rank t, rows are filled from the last to the first and each row's
+    free subsets tried in ascending order, which visits completions in that
+    order.  Adding rows never lowers a rank, so a prefix of rank above t is
+    dropped with all its completions; those of rank below t came at an
+    earlier t, so the leaves of rank exactly t are yielded.
+    """
+    n_cols = fm.n_cols
+    rows = [0] * fm.n_rows
+
+    def fill(r: int, basis: dict[int, int], t: int):
+        if r < 0:
+            if len(basis) == t:
+                yield t, tuple(rows)
+            return
+        one, free = 1 << fm.demand_col[r], fm.free[r]
+        s = 0
+        while True:
+            rows[r] = one | s
+            grown = dict(basis)
+            gf2.insert(grown, rows[r], n_cols)
+            if len(grown) <= t:
+                yield from fill(r - 1, grown, t)
+            s = (s - free) & free
+            if not s:
+                break
+
+    top = min(fm.n_rows, n_cols) if below is None else min(fm.n_rows, n_cols, below - 1)
+    for t in range(top + 1):
+        yield from fill(fm.n_rows - 1, {}, t)
 
 
 def minrank_gf2(fm: FittingMatrix, free_cap: int = 20) -> MinrankResult:
-    """Exhaustive minimum GF(2) rank over all 2^(#free) completions.
+    """Minimum GF(2) rank over the completions, with the first completion
+    of that rank, in completion order, as the witness.
 
     The matrix may be built by hand, so its rows are checked first: one
     free mask per row, each demand column and free bit inside the
@@ -247,7 +260,7 @@ def _supported_minrank(fm: FittingMatrix, held: list[int], free_cap: int, below=
 
     ``below >= 3`` first looks for ``below`` rows that bound every
     completion's rank from below (``_has_acyclic_rows``); when they exist no
-    completion can qualify, and none is ranked.
+    completion can qualify, and none is searched.
     """
     _check_caps(fm, free_cap)
     if below == 2 and fm.n_rows:
@@ -262,9 +275,7 @@ def _supported_minrank(fm: FittingMatrix, held: list[int], free_cap: int, below=
     if below is not None and below >= 3 and _has_acyclic_rows(fm, below):
         return None, None
     node_cols = set(_column_masks(fm.columns, held))
-    for rank, rows in _completions_by_rank(fm):
-        if below is not None and rank >= below:
-            break
+    for rank, rows in _completions_by_rank(fm, below):
         basis = _supportable_span(rows, fm.n_cols, node_cols)
         if basis is not None:
             return rank, basis
@@ -285,15 +296,15 @@ def best_coded_plan(
     order, that reaches the least count.  Each set of receivers is searched
     once, at its first assignment.  Once a plan is known, each later
     pattern is searched only for completions of rank below its count, so a
-    pattern that cannot improve on it stops at the first completion that
-    reaches it; with two transmissions known, the search for one is a
-    closed-form test instead of a completion enumeration.  With three or
-    more known, a pattern that has that many rows with distinct demands and
-    no cycle among them (row r points to row s when r's receiver holds s's
-    demand) is skipped before its completions are ranked: those rows form
-    a triangular submatrix with ones on its diagonal, so every completion
-    reaches the known count (the acyclic-induced-subgraph lower bound on
-    minrank of Bar-Yossef, Birk, Jayram and Kol, FOCS 2006).
+    partial completion that reaches it is dropped; with two transmissions
+    known, the search for one is a closed-form test instead of a completion
+    enumeration.  With three or more known, a pattern that has that many
+    rows with distinct demands and no cycle among them (row r points to row
+    s when r's receiver holds s's demand) is skipped before its completions
+    are searched: those rows form a triangular submatrix with ones on its
+    diagonal, so every completion reaches the known count (the
+    acyclic-induced-subgraph lower bound on minrank of Bar-Yossef, Birk,
+    Jayram and Kol, FOCS 2006).
     """
     shuffle.check_solvable(instance)
     K, n = instance.k, instance.n

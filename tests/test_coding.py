@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from oracles import (
 from flexshuffle import coding, gf2
 from flexshuffle.coding import (
     FittingMatrix,
+    MinrankResult,
     _has_acyclic_rows,
     _held_masks,
     _receivers,
@@ -221,7 +224,14 @@ def test_minrank_matches_oracle_on_random_patterns():
         fm = FittingMatrix(
             columns=tuple(range(ic_cols)), demand_col=demand_col, free=free
         )
-        assert minrank_gf2(fm).rank == brute_minrank(demand_col, free, cols)
+        result = minrank_gf2(fm)
+        assert result.rank == brute_minrank(demand_col, free, cols)
+        # the witness is the first completion of least rank in completion order
+        first = next(
+            rows for rows in completions(demand_col, free, cols)
+            if rank_gf2(rows, cols) == result.rank
+        )
+        assert result.witness == tuple(sum(b << c for c, b in enumerate(r)) for r in first)
 
 
 def test_minrank_cap():
@@ -235,21 +245,32 @@ def test_minrank_cap():
     with pytest.raises(CapExceeded):
         minrank_gf2(fm, free_cap=20)
     # a matrix with no rows is held to the column cap like any other
-    no_rows = FittingMatrix(columns=tuple(range(gf2.MAX_COLS + 1)), demand_col=(), free=())
+    no_rows = FittingMatrix(columns=tuple(range(coding.MAX_COLS + 1)), demand_col=(), free=())
     with pytest.raises(CapExceeded, match="fitting-matrix columns"):
         minrank_gf2(no_rows)
 
 
 def test_free_cells_are_capped_whatever_free_cap_is():
     # one row demanding column 0 with every other column free: one free
-    # cell over the limit, whose 2**25 completions would take about 600 MB
-    n_cols = gf2.MAX_FREE + 2
+    # cell over the limit
+    n_cols = coding.MAX_FREE + 2
     fm = FittingMatrix(
         columns=tuple(range(n_cols)), demand_col=(0,), free=((1 << n_cols) - 2,)
     )
-    cap = f"^free cells: {gf2.MAX_FREE + 1} exceeds cap {gf2.MAX_FREE}$"
+    cap = f"^free cells: {coding.MAX_FREE + 1} exceeds cap {coding.MAX_FREE}$"
     with pytest.raises(CapExceeded, match=cap):
-        minrank_gf2(fm, free_cap=gf2.MAX_FREE + 10)
+        minrank_gf2(fm, free_cap=coding.MAX_FREE + 10)
+
+
+def test_minrank_answers_at_the_free_cell_cap():
+    # exactly MAX_FREE free cells: ranking all 2**24 completions into a
+    # table took about 15 s on one core of a 2-core x86 machine
+    fm = FittingMatrix(
+        columns=tuple(range(6)), demand_col=tuple(range(6)), free=(30, 29, 58, 39, 15, 23)
+    )
+    assert sum(f.bit_count() for f in fm.free) == coding.MAX_FREE
+    result = minrank_gf2(fm, free_cap=coding.MAX_FREE)
+    assert result == MinrankResult(rank=2, witness=(31, 31, 46, 46, 31, 49))
 
 
 def test_minrank_more_side_info_never_hurts():
@@ -314,16 +335,16 @@ def test_optimal_coded_matches_oracle():
 
 
 def test_coded_search_refuses_without_ranking_every_pattern(monkeypatch):
-    # ranking every pattern made 4,573 calls, about a minute, before this refusal
+    # searching every pattern made 4,573 calls, about a minute, before this refusal
     calls = 0
-    completion_ranks = gf2.completion_ranks
+    completions_by_rank = coding._completions_by_rank
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return completion_ranks(*args)
+        return completions_by_rank(*args)
 
-    monkeypatch.setattr(gf2, "completion_ranks", counted)
+    monkeypatch.setattr(coding, "_completions_by_rank", counted)
     with pytest.raises(CapExceeded, match="^free cells: 22 exceeds cap 20$"):
         best_coded_plan(random_instance(10, 8, 5, 2, 0.3, seed=0))
     assert calls <= 50
@@ -357,6 +378,26 @@ def test_each_receiver_set_is_searched_once(monkeypatch):
             continue
         best_coded_plan(inst)
         assert len(built) == len(set(built))
+
+
+def test_coded_plans_are_pinned():
+    # sha256 of 67 coded plans and 2 refusals, recorded while the search
+    # still ranked every completion of a pattern into a table
+    lines = []
+    for m, n, K, p in ((7, 5, 4, 0.35), (8, 6, 4, 0.3), (6, 5, 3, 0.35)):
+        for s in range(40):
+            inst = random_instance(m, n, K, 2, p, seed=4242 + s)
+            if missing_messages(inst):
+                continue
+            try:
+                lines.append(repr(best_coded_plan(inst)))
+            except CapExceeded as exc:
+                lines.append(f"refused {exc}")
+    assert len(lines) == 69
+    assert sum(line.startswith("refused ") for line in lines) == 2
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "e86a64315eb5d11d7bec6d9f75ee5b70384cae38b0a40ee08e1d9515f81993e1"
+    )
 
 
 def test_optimal_coded_assignment_cap():
@@ -425,7 +466,7 @@ def test_minrank_bounded_by_receivers_and_demands():
             if not rs:
                 continue
             fm = build_fitting_matrix(rs)
-            if len(fm.free_cells) > 16:
+            if sum(f.bit_count() for f in fm.free) > 16:
                 continue
             rank = minrank_gf2(fm).rank
             assert rank <= len(rs)
