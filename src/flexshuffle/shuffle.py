@@ -105,6 +105,22 @@ def _grown(adjacency, gains) -> list:
     return trial
 
 
+def _reachable(adjacency, match_node, free) -> set[int]:
+    """The functions an alternating path reaches from a function in
+    ``free``, the unmatched functions of a maximum matching: an edge leads
+    to a node, the node's matched function continues the path.  A
+    maximum matching leaves every reached node matched."""
+    reached = set(free)
+    stack = list(free)
+    while stack:
+        for i in adjacency[stack.pop()]:
+            k = match_node[i]
+            if k not in reached:
+                reached.add(k)
+                stack.append(k)
+    return reached
+
+
 def check_solvable(instance: Instance) -> None:
     """Raise Outage when a needed message is held by nobody, else
     Infeasible when K > n."""
@@ -127,14 +143,56 @@ def _plan(
     )
 
 
+def _hitting_sets(candidates, size, pairs):
+    """The ``size``-subsets of ``candidates`` that hold an input of every
+    pair in ``pairs``, in ``itertools.combinations`` order.
+
+    A prefix grows by picks in ascending order.  The next pick may not pass
+    the larger input of a pair that no pick holds yet, or nothing later
+    could hit it.  Unhit pairs that share no input, found greedily, each
+    need a pick of their own, so a prefix with fewer picks left is dropped;
+    below that bound a size yields nothing at once.  Once every pair is hit,
+    any completion is one, and the rest comes from ``itertools.combinations``.
+    """
+    at = {j: t for t, j in enumerate(candidates)}
+    pairs = sorted({tuple(sorted((at[a], at[b]))) for a, b in pairs})
+
+    def extend(prefix, start, unhit):
+        left = size - len(prefix)
+        if not unhit:
+            for rest in itertools.combinations(candidates[start:], left):
+                yield prefix + rest
+            return
+        taken, need = set(), 0
+        for a, b in unhit:
+            if a not in taken and b not in taken:
+                taken.update((a, b))
+                need += 1
+        if need > left:
+            return
+        stop = min(min(b for _, b in unhit), len(candidates) - left)
+        for t in range(start, stop + 1):
+            rest = [pair for pair in unhit if t not in pair]
+            yield from extend((*prefix, candidates[t]), t + 1, rest)
+
+    return extend((), 0, pairs)
+
+
 def min_raw_broadcasts(instance: Instance, budget: int = 8) -> UncodedPlan:
     """Smallest set of raw-message broadcasts after which a full matching exists.
 
     Iterative deepening over the broadcast-set size with lexicographic subset
     enumeration, so the returned optimum is deterministic.  Only messages
     that are missing from some (function, node) pair can change the graph,
-    which keeps the candidate pool small.  Each candidate set re-augments a
-    copy of the zero-broadcast maximum matching.
+    which keeps the candidate pool small.  A function that no node covers
+    stays uncovered unless one of its two inputs is broadcast, so only the
+    sets that hit every such input pair are visited (``_hitting_sets``):
+    the next pick never passes the larger input of an unhit pair, and a
+    prefix is dropped when input-disjoint unhit pairs outnumber its picks
+    left.  The sets skipped cannot succeed, so the plans, and the budget
+    refusals, are those of the full enumeration.  Each visited set whose
+    gained functions can still cover every missing one re-augments a copy
+    of the zero-broadcast maximum matching.
 
     Raises Outage when a needed message is held by nobody, Infeasible when
     K > n, and BudgetExceeded when no feasible set of size <= budget exists.
@@ -148,8 +206,12 @@ def min_raw_broadcasts(instance: Instance, budget: int = 8) -> UncodedPlan:
     held_by_all = instance.placement.cells.all(axis=0).tolist()
     candidates = sorted(j for j in users if not held_by_all[j])
     free = [k for k, i in enumerate(match_fn) if i == -1]
+    # Both inputs of a nowhere-covered function are candidates: if all
+    # nodes held one, check_solvable would have found the other held by none.
+    functions = instance.workload.functions
+    pairs = [functions[k] for k in free if not adjacency[k]]
     for size in range(1, min(budget, len(candidates)) + 1):
-        for combo in itertools.combinations(candidates, size):
+        for combo in _hitting_sets(candidates, size, pairs):
             gains = _gains(combo, lacks, nodes, users)
             # Each missing function needs its own augmenting path, and each
             # path a new edge at a function of its own (see greedy).
@@ -178,6 +240,13 @@ def greedy_raw_broadcasts(instance: Instance) -> UncodedPlan:
     kept across rounds: a broadcast changes only the lack rows of the
     functions reading the winner, so only the lists of the messages those
     functions read are dropped, to be rebuilt when next scored.
+
+    A candidate is scored only if it can beat the best gain so far.  Its
+    gain is at most the number of its gained functions that an alternating
+    path reaches from a free function of the round's matching
+    (``_reachable``, built once a round needs it), since each new augmenting
+    path's first new edge sits at one.  A skipped candidate could at best
+    tie, and ties go to the lower message, so plans are unchanged.
     """
     check_solvable(instance)
     K = instance.k
@@ -192,7 +261,7 @@ def greedy_raw_broadcasts(instance: Instance) -> UncodedPlan:
     while matched < K:
         free = [k for k in range(K) if match_fn[k] == -1]
         pool = sorted({j for k in free for j in functions[k]} - broadcast)
-        best_gain, best = -1, None
+        best_gain, best, reached = -1, None, None
         for j in pool:
             gains = gains_of.get(j)
             if gains is None:
@@ -202,6 +271,13 @@ def greedy_raw_broadcasts(instance: Instance) -> UncodedPlan:
             # with one; a candidate that cannot beat the best is not scored.
             if len(gains) <= best_gain:
                 continue
+            # Tighter: each path's first new edge sits at a function that
+            # an alternating path already reaches from a free one.
+            if best_gain >= 0:
+                if reached is None:
+                    reached = _reachable(adjacency, match_node, free)
+                if sum(k in reached for k, _ in gains) <= best_gain:
+                    continue
             trial = _grown(adjacency, gains)
             trial_fn, trial_node = match_fn.copy(), match_node.copy()
             gain = augment(trial, trial_fn, trial_node, [k for k in free if trial[k]])

@@ -4,8 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from flexshuffle import cli, coverage
-from flexshuffle.instance import demo_instance, instance_to_text, load_instance
+from flexshuffle import analysis, cli, coverage
+from flexshuffle.instance import (
+    demo_instance,
+    instance_to_text,
+    load_instance,
+    random_instance,
+    save_instance,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "demo_transcript.golden"
 
@@ -151,6 +157,18 @@ def test_solve_budget_falls_back_to_greedy(tmp_path, capsys):
     lines = dict(line.split(" ", 1) for line in out.strip().splitlines())
     assert lines["raw_solver"] == "greedy"
     assert lines["raw_broadcasts"] in ("2", "3")
+
+
+def test_solve_sweep_size_reaches_greedy_at_once(tmp_path, capsys):
+    # No set within the default budget hits the input pairs of all the
+    # functions no node covers, so the exact search refuses at once.
+    path = tmp_path / "sweep_size.txt"
+    p = 0.5 * analysis.no_shuffle_threshold(100, 50)
+    save_instance(random_instance(100, 100, 50, 2, p, 5, 0), path)
+    code, out, _ = run(capsys, "solve", str(path))
+    assert code == cli.EXIT_OK
+    lines = dict(line.split(" ", 1) for line in out.strip().splitlines())
+    assert lines["raw_solver"] == "greedy"
 
 
 def test_solve_cap_exit_code(tmp_path, capsys):

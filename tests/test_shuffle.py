@@ -1,5 +1,7 @@
 import contextlib
 import hashlib
+import itertools
+import time
 
 import oracles
 import pytest
@@ -10,7 +12,7 @@ from test_coverage import small_instances
 
 from flexshuffle.analysis import no_shuffle_threshold
 from flexshuffle.coding import best_coded_plan
-from flexshuffle.coverage import uncovered_count
+from flexshuffle.coverage import augment, base_matching, uncovered_count
 from flexshuffle.errors import BudgetExceeded, Infeasible, Outage
 from flexshuffle.instance import (
     FunctionSet,
@@ -23,7 +25,10 @@ from flexshuffle.instance import (
 )
 from flexshuffle.shuffle import (
     _gains,
+    _grown,
+    _hitting_sets,
     _input_tables,
+    _reachable,
     greedy_raw_broadcasts,
     min_intermediate_broadcasts,
     min_raw_broadcasts,
@@ -219,6 +224,90 @@ def test_greedy_plans_are_pinned_at_sweep_size():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "4c6bb4471899e48f4a02e46c05c74511fcf226b14d7452f43ec398fbc99cca50"
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_hitting_sets_are_the_hitting_combinations_in_order(data):
+    candidates = sorted(data.draw(st.sets(st.integers(0, 30), max_size=10)))
+    pairs = []
+    if len(candidates) >= 2:
+        pair = st.lists(st.sampled_from(candidates), min_size=2, max_size=2, unique=True)
+        pairs = [tuple(p) for p in data.draw(st.lists(pair, max_size=5))]
+    size = data.draw(st.integers(0, 6))
+    expected = [
+        combo for combo in itertools.combinations(candidates, size)
+        if all(set(pair) & set(combo) for pair in pairs)
+    ]
+    assert list(_hitting_sets(candidates, size, pairs)) == expected
+
+
+def test_exact_raw_plans_are_pinned():
+    # sha256 of 220 exact searches at budget 4 (175 plans, 8 refusals on
+    # the budget, 37 outages), recorded before the search visited only the
+    # sets that hit every nowhere-covered function.
+    def outcome(inst):
+        try:
+            return repr(min_raw_broadcasts(inst, budget=4))
+        except (BudgetExceeded, Outage) as exc:
+            return type(exc).__name__
+
+    lines = [
+        outcome(random_instance(40, 20, 10, 2, p, 2400 + s))
+        for p in (0.2, 0.25, 0.3, 0.4)
+        for s in range(25)
+    ]
+    lines += [
+        outcome(random_instance(8, 6, 4, d, 0.4, 2500 + s))
+        for d in (1, 2, 3, 4)
+        for s in range(30)
+    ]
+    assert len(lines) == 220
+    assert lines.count("BudgetExceeded") == 8
+    assert lines.count("Outage") == 37
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "5701dac12cb9edcb670d30714110515225025616369a42df3afb3c827ebf460c"
+    )
+
+
+def test_exact_refuses_a_sweep_size_budget_at_once():
+    # At m=n=100, K=50, 0.5 p_th about 18 functions have no covering node,
+    # and more than 8 of them share no input, so no set of 8 can hit them
+    # all.  Enumerating every set up to size 8 would take days.
+    inst = random_instance(100, 100, 50, 2, 0.5 * no_shuffle_threshold(100, 50), 5, 0)
+    assert not missing_messages(inst)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        min_raw_broadcasts(inst, budget=8)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_gain_is_bounded_by_reachable_gained_functions():
+    # Greedy skips a candidate whose gained functions reached by an
+    # alternating path from a free function cannot beat the best gain.
+    # Some gains here need a path through a matched function, and some
+    # candidates gain edges at functions no such path reaches.
+    through_matched = unreached = 0
+    for d in (1, 2, 3, 4):
+        for seed in range(40):
+            inst = tiny_instance(seed, m=8, n=6, K=4, d=d, p=0.5)
+            if not solvable(inst):
+                continue
+            adjacency, match_fn, match_node, _ = base_matching(inst)
+            free = [k for k, i in enumerate(match_fn) if i == -1]
+            reached = _reachable(adjacency, match_node, free)
+            lacks, nodes, users = _input_tables(inst)
+            for j in sorted({j for k in free for j in inst.workload.functions[k]}):
+                gains = _gains((j,), lacks, nodes, users)
+                trial = _grown(adjacency, gains)
+                roots = [k for k in free if trial[k]]
+                gain = augment(trial, match_fn.copy(), match_node.copy(), roots)
+                bound = sum(k in reached for k, _ in gains)
+                assert gain <= bound
+                through_matched += gain > sum(k in free for k, _ in gains)
+                unreached += bound < len(gains)
+    assert through_matched > 0
+    assert unreached > 0
 
 
 def test_exact_matches_subset_oracle():
