@@ -262,11 +262,10 @@ def fixed_assignment_nodes(K: int, n: int, nodes_per_function: int) -> tuple[tup
     return tuple(tuple(k * C + o for o in range(C)) for k in range(K))
 
 
-def _fixed_covered(instance: Instance, groups) -> bool:
-    """Whether every function k has a node in ``groups[k]`` holding both of
-    its inputs."""
+def _fixed_covered(instance: Instance, nodes: np.ndarray) -> bool:
+    """Whether every function k has a node in row k of the (K, C) ``nodes``
+    holding both of its inputs."""
     cells = instance.placement.cells
-    nodes = np.array(groups, dtype=np.intp)
     inputs = instance.workload.inputs
     return bool((cells[nodes, inputs[:, :1]] & cells[nodes, inputs[:, 1:]]).any(axis=1).all())
 
@@ -276,9 +275,9 @@ def mc_fixed_no_shuffle(
 ) -> ProportionEstimate:
     """Fraction of instances where every function is covered by one of its
     pre-placed nodes (chosen before the placement is revealed)."""
-    groups = fixed_assignment_nodes(K, n, nodes_per_function)
+    nodes = np.array(fixed_assignment_nodes(K, n, nodes_per_function), dtype=np.intp)
     covered = sum(
-        _fixed_covered(random_instance(m, n, K, d, p, seed, t), groups) for t in range(trials)
+        _fixed_covered(random_instance(m, n, K, d, p, seed, t), nodes) for t in range(trials)
     )
     return _proportion(covered, trials)
 
@@ -348,14 +347,15 @@ def sweep(
 def _sweep_point(
     m, n, K, d, p, trials, point_seed, compare_fixed, nodes_per_function
 ) -> SweepPoint:
-    groups = (
-        fixed_assignment_nodes(K, n, nodes_per_function) if compare_fixed else None
+    nodes = (
+        np.array(fixed_assignment_nodes(K, n, nodes_per_function), dtype=np.intp)
+        if compare_fixed else None
     )
 
     def trial(t):
         """Y, the greedy plan size (None on outage) and fixed coverage."""
         inst = random_instance(m, n, K, d, p, point_seed, t)
-        covered_fixed = _fixed_covered(inst, groups) if groups else False
+        covered_fixed = _fixed_covered(inst, nodes) if nodes is not None else False
         try:
             plan = greedy_raw_broadcasts(inst)
         except Outage:

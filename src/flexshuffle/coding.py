@@ -15,14 +15,13 @@ combination must lie within a single node's side information
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gf2, shuffle
-from .coverage import Assignment, base_matching
+from .coverage import Assignment
 from .errors import BudgetExceeded, CapExceeded, InvariantViolation
 from .instance import Instance
 
@@ -289,59 +288,114 @@ def best_coded_plan(
 ) -> CodedPlan:
     """Fewest sender-supportable coded broadcasts over all total assignments.
 
-    Enumerates every injective assignment of the K functions to nodes, takes
-    the fitting-matrix minrank of each induced index-coding instance
+    Searches the injective assignments of the K functions to nodes for the
+    fitting-matrix minrank of each induced index-coding instance
     (restricted to witnesses whose row space a set of single-node
     transmissions can span), and returns the first plan, in permutation
-    order, that reaches the least count.  Each set of receivers is searched
-    once, at its first assignment.  Once a plan is known, each later
-    pattern is searched only for completions of rank below its count, so a
-    partial completion that reaches it is dropped; with two transmissions
-    known, the search for one is a closed-form test instead of a completion
-    enumeration.  With three or more known, a pattern that has that many
-    rows with distinct demands and no cycle among them (row r points to row
-    s when r's receiver holds s's demand) is skipped before its completions
-    are searched: those rows form a triangular submatrix with ones on its
-    diagonal, so every completion reaches the known count (the
+    order, that reaches the least count.  The search is depth first: it
+    assigns functions 0, 1, …, K-1 in turn, each to the unused nodes in
+    ascending order, so complete assignments come in
+    ``itertools.permutations`` order.  Each set of receivers is searched
+    once, at its first assignment.
+
+    The search is bounded from the start.  Under greedy's raw plan every
+    assigned node lacks only broadcast messages, whose unit vectors are a
+    supportable code, so the first pattern is searched only for
+    completions of rank at most greedy's count, and each later one below
+    the best count known.  A pattern's first completion of least rank does
+    not depend on the bound above it, so the plan is the one an unbounded
+    search would return.  With two transmissions known, the search for one
+    is a closed-form test.
+
+    A partial assignment whose receivers include as many rows as the bound
+    with distinct demands and no cycle among them (row r points to row s
+    when r's receiver holds s's demand) is dropped with every assignment
+    that extends it.  Those rows stay in each extension's pattern, with the
+    same demands and cells, and form a triangular submatrix with ones on
+    its diagonal, so every completion reaches the bound (the
     acyclic-induced-subgraph lower bound on minrank of Bar-Yossef, Birk,
-    Jayram and Kol, FOCS 2006).
+    Jayram and Kol, FOCS 2006).  A partial assignment is dropped only when
+    no extension can exceed the free-cell or column caps, so every refusal
+    is raised at the assignment where an unpruned search raises it.
     """
-    shuffle.check_solvable(instance)
+    raw = shuffle.greedy_raw_broadcasts(instance)
+    if raw.size == 0:
+        return CodedPlan(count=0, assignment=raw.assignment, broadcasts=(), senders=())
     K, n = instance.k, instance.n
-    _, match_fn, _, matched = base_matching(instance)
-    if matched == K:
-        return CodedPlan(
-            count=0, assignment=Assignment(pairs=tuple(enumerate(match_fn))),
-            broadcasts=(), senders=(),
-        )
     total = math.perm(n, K)
     if total > assignment_cap:
         raise CapExceeded("assignments", total, assignment_cap)
 
     functions = instance.workload.functions
     held = _held_masks(instance.placement.cells)
+    lacked = [[sum(not h >> j & 1 for j in pair) for h in held] for pair in functions]
+    # later[k]: the inputs of functions k.. as a message bitmask
+    later = [0] * (K + 1)
+    for k in range(K - 1, -1, -1):
+        a, b = functions[k]
+        later[k] = later[k + 1] | 1 << a | 1 << b
+    cap = min(free_cap, MAX_FREE)
+    nodes: list[int] = []
+    unused = set(range(n))
     best: CodedPlan | None = None
     seen: set[frozenset] = set()
-    for nodes in itertools.permutations(range(n), K):
-        if best is not None and best.count <= 1:
-            # Some function is uncovered under every assignment, so one
-            # transmission is already optimal.
-            break
+
+    def cap_safe(unique) -> bool:
+        """Whether no assignment extending ``nodes`` can exceed a cap.
+
+        Its columns lie in ``cols``, the demands so far and every input of
+        the functions left, and each of its rows has at most as many free
+        cells as the row's held messages in ``cols``.  So each function left
+        adds at most the most such cells any unused node's rows for it
+        could have, one row per input the node lacks.
+        """
+        cols = later[len(nodes)]
+        for j, _ in unique:
+            cols |= 1 << j
+        if cols.bit_count() > MAX_COLS:
+            return False
+        in_cols = [(h & cols).bit_count() for h in held]
+        free = sum((h & cols).bit_count() for _, h in unique)
+        for k in range(len(nodes), K):
+            free += max(lacked[k][i] * in_cols[i] for i in unused)
+        return free <= cap
+
+    def search(rows) -> None:
+        nonlocal best
+        below = raw.size + 1 if best is None else best.count
+        unique = tuple(dict.fromkeys(rows))
+        if len(nodes) < K:
+            if (
+                below >= 2
+                and len({j for j, _ in unique}) >= below
+                and cap_safe(unique)
+                and _has_acyclic_rows(build_fitting_matrix(unique), below)
+            ):
+                return
+            k = len(nodes)
+            for i in sorted(unused):
+                unused.remove(i)
+                nodes.append(i)
+                search(rows + _receivers(functions, held, [(k, i)]))
+                nodes.pop()
+                unused.add(i)
+                if best is not None and best.count <= 1:
+                    # Some function is uncovered under every assignment, so
+                    # one transmission is already optimal.
+                    return
+            return
         # Equal receivers add equal rows, so assignments with the same set
         # of them share one search.  A set searched before either found
-        # nothing below the count known then, or set that count; the count
-        # never rises, so it cannot win now.
-        unique = tuple(dict.fromkeys(_receivers(functions, held, enumerate(nodes))))
+        # nothing below the bound then, or set it; the bound never rises,
+        # so it cannot win now.
         key = frozenset(unique)
         if key in seen:
-            continue
+            return
         seen.add(key)
         fm = build_fitting_matrix(unique)
-        rank, basis = _supported_minrank(
-            fm, held, free_cap, None if best is None else best.count
-        )
+        rank, basis = _supported_minrank(fm, held, free_cap, below)
         if rank is None:
-            continue
+            return
         node_cols = _column_masks(fm.columns, held)
         best = CodedPlan(
             count=rank,
@@ -353,8 +407,11 @@ def best_coded_plan(
                 min(i for i, nc in enumerate(node_cols) if v & ~nc == 0) for v in basis
             ),
         )
-    # Never None: the first pattern's all-zero completion spans the unit
-    # vectors of its demands, and check_solvable found a holder for each.
+
+    search([])
+    # Never None: under greedy's assignment the unit vectors of the
+    # demands, each held by some node, span a supportable completion of
+    # rank at most T_raw.
     return best
 
 

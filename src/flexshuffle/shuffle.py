@@ -121,7 +121,7 @@ def _reachable(adjacency, match_node, free) -> set[int]:
     return reached
 
 
-def check_solvable(instance: Instance) -> None:
+def _check_solvable(instance: Instance) -> None:
     """Raise Outage when a needed message is held by nobody, else
     Infeasible when K > n."""
     missing = missing_messages(instance)
@@ -197,7 +197,7 @@ def min_raw_broadcasts(instance: Instance, budget: int = 8) -> UncodedPlan:
     Raises Outage when a needed message is held by nobody, Infeasible when
     K > n, and BudgetExceeded when no feasible set of size <= budget exists.
     """
-    check_solvable(instance)
+    _check_solvable(instance)
     K = instance.k
     adjacency, match_fn, match_node, matched = base_matching(instance)
     if matched == K:
@@ -207,7 +207,7 @@ def min_raw_broadcasts(instance: Instance, budget: int = 8) -> UncodedPlan:
     candidates = sorted(j for j in users if not held_by_all[j])
     free = [k for k, i in enumerate(match_fn) if i == -1]
     # Both inputs of a nowhere-covered function are candidates: if all
-    # nodes held one, check_solvable would have found the other held by none.
+    # nodes held one, _check_solvable would have found the other held by none.
     functions = instance.workload.functions
     pairs = [functions[k] for k in free if not adjacency[k]]
     for size in range(1, min(budget, len(candidates)) + 1):
@@ -248,7 +248,7 @@ def greedy_raw_broadcasts(instance: Instance) -> UncodedPlan:
     path's first new edge sits at one.  A skipped candidate could at best
     tie, and ties go to the lower message, so plans are unchanged.
     """
-    check_solvable(instance)
+    _check_solvable(instance)
     K = instance.k
     adjacency, match_fn, match_node, matched = base_matching(instance)
     uncovered = K - matched
@@ -309,7 +309,7 @@ def min_intermediate_broadcasts(instance: Instance) -> IntermediatePlan:
     (0, 1 or 2); every missing value is one broadcast, useful only to its
     assigned node.
     """
-    check_solvable(instance)
+    _check_solvable(instance)
     cost = _lacks(instance).sum(axis=1)
     rows, cols = linear_sum_assignment(cost)
     pairs = tuple(sorted((int(k), int(i)) for k, i in zip(rows, cols)))

@@ -1,16 +1,22 @@
 """Brute-force reference implementations used to cross-check the solvers.
 
 Everything here enumerates exhaustively and stays independent of the
-library's algorithms (no matching, assignment or rank code is shared).
+library's algorithms (no matching, assignment or rank code is shared),
+except ``permutation_coded_plan``: the coded search's permutation loop,
+kept on the library's pattern helpers as the reference its pruned search
+must reproduce plan for plan.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 
+from flexshuffle import coding, shuffle
+from flexshuffle.coverage import Assignment, base_matching
 from flexshuffle.engine import Transcript, decode_payload, encode_payload
-from flexshuffle.errors import DecodeFailure, InvariantViolation
+from flexshuffle.errors import CapExceeded, DecodeFailure, InvariantViolation
 
 
 def side_sets(placement):
@@ -207,6 +213,57 @@ def brute_coded_count(instance):
         count = brute_supported_minrank(demand_col, free_masks, len(columns), node_masks)
         if count is not None and (best is None or count < best):
             best = count
+    return best
+
+
+def permutation_coded_plan(instance, assignment_cap: int = 100_000, free_cap: int = 20):
+    """``coding.best_coded_plan`` as a walk over every permutation.
+
+    Each distinct receiver set is searched at its first assignment in
+    ``itertools.permutations`` order, with no bound until a plan is found
+    and below its count after that; the first plan reaching the least
+    count wins, and a pattern over a cap raises where the walk meets it.
+    """
+    shuffle._check_solvable(instance)
+    K, n = instance.k, instance.n
+    _, match_fn, _, matched = base_matching(instance)
+    if matched == K:
+        return coding.CodedPlan(
+            count=0, assignment=Assignment(pairs=tuple(enumerate(match_fn))),
+            broadcasts=(), senders=(),
+        )
+    total = math.perm(n, K)
+    if total > assignment_cap:
+        raise CapExceeded("assignments", total, assignment_cap)
+    functions = instance.workload.functions
+    held = coding._held_masks(instance.placement.cells)
+    best = None
+    seen = set()
+    for nodes in itertools.permutations(range(n), K):
+        if best is not None and best.count <= 1:
+            break
+        unique = tuple(dict.fromkeys(coding._receivers(functions, held, enumerate(nodes))))
+        key = frozenset(unique)
+        if key in seen:
+            continue
+        seen.add(key)
+        fm = coding.build_fitting_matrix(unique)
+        rank, basis = coding._supported_minrank(
+            fm, held, free_cap, None if best is None else best.count
+        )
+        if rank is None:
+            continue
+        node_cols = coding._column_masks(fm.columns, held)
+        best = coding.CodedPlan(
+            count=rank,
+            assignment=Assignment(pairs=tuple(enumerate(nodes))),
+            broadcasts=tuple(
+                frozenset(j for c, j in enumerate(fm.columns) if v >> c & 1) for v in basis
+            ),
+            senders=tuple(
+                min(i for i, nc in enumerate(node_cols) if v & ~nc == 0) for v in basis
+            ),
+        )
     return best
 
 

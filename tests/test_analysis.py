@@ -290,6 +290,16 @@ def test_sweep_rows_and_determinism():
         assert pt.error == ""
 
 
+@pytest.mark.parametrize("K", [0, 3])
+def test_sweep_fixed_column_is_mc_fixed_no_shuffle(K):
+    # with no functions every fixed assignment serves them all
+    (pt,) = sweep([(8, 8, K, 2)], [0.6], trials=30, seed=5, compare_fixed=True,
+                  nodes_per_function=2)
+    fixed = mc_fixed_no_shuffle(8, 8, K, 2, 0.6, trials=30, seed=pt.seed, nodes_per_function=2)
+    assert pt.fixed_no_shuffle_fraction == fixed.fraction
+    assert fixed.fraction <= pt.no_shuffle_fraction
+
+
 def test_sweep_records_errors_and_continues():
     # K > available pair count is infeasible; the next point still runs
     pts = sweep([(3, 4, 5, 2), (8, 6, 3, 2)], [0.5], trials=20, seed=1)

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +10,7 @@ from oracles import (
     brute_minrank,
     brute_supported_minrank,
     completions,
+    permutation_coded_plan,
     rank_gf2,
     side_sets,
 )
@@ -363,41 +365,98 @@ def test_coded_senders_are_the_lowest_nodes_holding_each_broadcast(K, seed):
 
 
 def test_each_receiver_set_is_searched_once(monkeypatch):
-    built = []
-    build = coding.build_fitting_matrix
+    # partial assignments build matrices for the acyclic-rows prune too, so
+    # only the matrices handed to the minrank search are counted
+    built, searched = {}, []
+    build, search = coding.build_fitting_matrix, coding._supported_minrank
 
-    def counted(receivers):
-        built.append(frozenset(receivers))
-        return build(receivers)
+    def built_from(receivers):
+        fm = build(receivers)
+        built[id(fm)] = fm, frozenset(receivers)
+        return fm
 
-    monkeypatch.setattr(coding, "build_fitting_matrix", counted)
+    def counted(fm, *args):
+        searched.append(built[id(fm)][1])
+        return search(fm, *args)
+
+    monkeypatch.setattr(coding, "build_fitting_matrix", built_from)
+    monkeypatch.setattr(coding, "_supported_minrank", counted)
     for seed in range(40):
         built.clear()
+        searched.clear()
         inst = random_instance(7, 5, 4, 2, 0.35, seed=seed)
         if missing_messages(inst):
             continue
         best_coded_plan(inst)
-        assert len(built) == len(set(built))
+        assert len(searched) == len(set(searched))
+
+
+def pinned_instances():
+    """The 69 non-outage draws whose coded outcomes are pinned."""
+    for m, n, K, p in ((7, 5, 4, 0.35), (8, 6, 4, 0.3), (6, 5, 3, 0.35)):
+        for s in range(40):
+            inst = random_instance(m, n, K, 2, p, seed=4242 + s)
+            if not missing_messages(inst):
+                yield inst
+
+
+def coded_outcome(inst, **caps) -> str:
+    try:
+        return repr(best_coded_plan(inst, **caps))
+    except CapExceeded as exc:
+        return f"refused {exc}"
 
 
 def test_coded_plans_are_pinned():
     # sha256 of 67 coded plans and 2 refusals, recorded while the search
     # still ranked every completion of a pattern into a table
-    lines = []
-    for m, n, K, p in ((7, 5, 4, 0.35), (8, 6, 4, 0.3), (6, 5, 3, 0.35)):
-        for s in range(40):
-            inst = random_instance(m, n, K, 2, p, seed=4242 + s)
-            if missing_messages(inst):
-                continue
-            try:
-                lines.append(repr(best_coded_plan(inst)))
-            except CapExceeded as exc:
-                lines.append(f"refused {exc}")
+    lines = [coded_outcome(inst) for inst in pinned_instances()]
     assert len(lines) == 69
     assert sum(line.startswith("refused ") for line in lines) == 2
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "e86a64315eb5d11d7bec6d9f75ee5b70384cae38b0a40ee08e1d9515f81993e1"
     )
+
+
+def test_coded_plans_match_the_permutation_walk():
+    # the pruned search must give the walk's plan, or its refusal at the
+    # same assignment, at every cap
+    rng = random.Random(25)
+    draws = refused = 0
+    while draws < 300:
+        m = rng.randint(4, 9)
+        n = rng.randint(2, min(7, m))
+        K = rng.randint(1, min(4, n))
+        inst = random_instance(m, n, K, 2, rng.uniform(0.15, 0.55), seed=rng.randrange(10**6))
+        if missing_messages(inst):
+            continue
+        draws += 1
+        for cap in (3, 5, 8, 12, 20):
+            try:
+                expected = repr(permutation_coded_plan(inst, free_cap=cap))
+            except CapExceeded as exc:
+                expected = f"refused {exc}"
+                refused += 1
+            assert coded_outcome(inst, free_cap=cap) == expected, (m, n, K, cap)
+    assert refused >= 100
+
+
+def test_coded_search_starts_bounded(monkeypatch):
+    belows = []
+    search = coding._supported_minrank
+
+    def recorded(fm, held, free_cap, below=None):
+        belows.append(below)
+        return search(fm, held, free_cap, below)
+
+    monkeypatch.setattr(coding, "_supported_minrank", recorded)
+    for inst in pinned_instances():
+        coded_outcome(inst)
+    assert belows and None not in belows
+    belows.clear()
+    # the unbounded first pattern made the permutation walk search 360
+    best_coded_plan(random_instance(8, 6, 4, 2, 0.3, seed=4258))
+    assert len(belows) <= 20
 
 
 def test_optimal_coded_assignment_cap():
