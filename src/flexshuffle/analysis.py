@@ -59,14 +59,22 @@ def _check_trials(trials: int) -> None:
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion at 95% confidence."""
+    """Wilson score interval for a binomial proportion at 95% confidence.
+
+    Its lower end at zero successes and its upper end at ``trials``
+    successes are exactly 0 and 1, which the formula misses by rounding.
+    """
     _check_trials(trials)
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes must lie in [0, {trials}], got {successes}")
     phat = successes / trials
     z2 = Z95 * Z95
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
     half = Z95 * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    hi = 1.0 if successes == trials else min(1.0, center + half)
+    return lo, hi
 
 
 def _proportion(successes: int, trials: int) -> ProportionEstimate:
@@ -149,8 +157,9 @@ def azuma_bound(n: int, deviation: float) -> float:
     """exp(-a^2 / 2n): lower-tail bound for a 1-Lipschitz function of n
     independently exposed nodes."""
     _check_n(n)
-    if deviation <= 0:
-        raise ValueError("deviation must be positive")
+    # Written so that nan fails too.
+    if not deviation > 0:
+        raise ValueError(f"deviation must be positive, got {deviation}")
     return math.exp(-deviation * deviation / (2.0 * n))
 
 

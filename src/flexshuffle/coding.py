@@ -190,32 +190,38 @@ def minrank_gf2(fm: FittingMatrix, free_cap: int = 20) -> MinrankResult:
     return MinrankResult(rank=rank, witness=witness)
 
 
-def _has_acyclic_rows(fm: FittingMatrix, size: int) -> bool:
-    """Whether ``size`` rows have distinct demand columns and no cycle in
-    the digraph "row r -> row s when r's free mask holds s's demand column".
+def _has_acyclic_rows(rows, size: int) -> bool:
+    """Whether ``size`` of the (demand, mask) ``rows`` have distinct demands
+    and no cycle in the digraph "row r -> row s when r's mask holds s's
+    demand".
 
-    Ordered along that digraph, such rows form a triangular submatrix with
-    its forced ones on the diagonal, so every completion has rank at least
-    ``size``: the acyclic-induced-subgraph lower bound on minrank
-    (Bar-Yossef, Birk, Jayram and Kol, FOCS 2006).  Sets are grown by
-    appending a row with no free cell at a demand column already taken;
-    whether a set can grow depends only on those columns, so each column
-    set that cannot reach ``size`` is searched once.
+    The rows are a fitting matrix's ``zip(fm.demand_col, fm.free)``, or the
+    (message, held mask) receivers it is built from: a receiver's free mask
+    has a demand's column exactly when the receiver holds that demand, so
+    both give the same answer.  Ordered along that digraph, such rows form
+    a triangular submatrix with its forced ones on the diagonal, so every
+    completion has rank at least ``size``: the acyclic-induced-subgraph
+    lower bound on minrank (Bar-Yossef, Birk, Jayram and Kol, FOCS 2006).
+    Sets are grown by appending a row whose mask holds no demand already
+    taken; whether a set can grow depends only on those demands, so each
+    demand set that cannot reach ``size`` is searched once.
     """
-    rows = tuple(zip(fm.demand_col, fm.free))
+    rows = tuple(rows)
     dead: set[int] = set()
 
-    def grow(cols: int, need: int) -> bool:
+    def grow(taken: int, need: int) -> bool:
         if need == 0:
             return True
-        if cols not in dead:
-            for dc, f in rows:
-                if not (cols >> dc & 1 or f & cols) and grow(cols | 1 << dc, need - 1):
+        if taken not in dead:
+            for demand, mask in rows:
+                if not (taken >> demand & 1 or mask & taken) and grow(
+                    taken | 1 << demand, need - 1
+                ):
                     return True
-            dead.add(cols)
+            dead.add(taken)
         return False
 
-    return size <= fm.n_cols and grow(0, size)
+    return size <= len({demand for demand, _ in rows}) and grow(0, size)
 
 
 def _supportable_span(rows, n_cols: int, node_cols) -> list[int] | None:
@@ -271,7 +277,11 @@ def _supported_minrank(fm: FittingMatrix, held: list[int], free_cap: int, below=
         ):
             return 1, [demanded]
         return None, None
-    if below is not None and below >= 3 and _has_acyclic_rows(fm, below):
+    if (
+        below is not None
+        and below >= 3
+        and _has_acyclic_rows(zip(fm.demand_col, fm.free), below)
+    ):
         return None, None
     node_cols = set(_column_masks(fm.columns, held))
     for rank, rows in _completions_by_rank(fm, below):
@@ -367,9 +377,8 @@ def best_coded_plan(
         if len(nodes) < K:
             if (
                 below >= 2
-                and len({j for j, _ in unique}) >= below
+                and _has_acyclic_rows(unique, below)
                 and cap_safe(unique)
-                and _has_acyclic_rows(build_fitting_matrix(unique), below)
             ):
                 return
             k = len(nodes)

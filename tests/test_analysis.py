@@ -104,25 +104,30 @@ def test_expected_fixed_uncoded():
     assert half.miscounted_mean - half.mean == pytest.approx(10 * 0.25)
 
 
+REJECTED = [
+    (lambda: wilson_interval(0, 0), "trials must be >= 1"),
+    (lambda: no_shuffle_threshold(0, 10), "n must be >= 1"),
+    (lambda: missing_message_prob(5, 5, 1.5), r"p must lie in \[0, 1\], got 1.5"),
+    (lambda: missing_message_prob(5, 5, float("nan")), "got nan"),
+    (lambda: fixed_assignment_threshold(10, 0.5), "at least one node per function"),
+    (lambda: expected_fixed_uncoded(10, -0.1), "got -0.1"),
+    (lambda: expected_nowhere_covered(10, 5, 1.5), "got 1.5"),
+    (lambda: expected_nowhere_covered(10, 5, float("nan")), "got nan"),
+    (lambda: no_shuffle_failure_bound(10, 5, 1.5), "got 1.5"),
+    (lambda: no_shuffle_failure_bound(10, 5, -0.5), "got -0.5"),
+    (lambda: azuma_bound(0, 1.0), "n must be >= 1"),
+    (lambda: outage_threshold(10, 0), "n must be >= 1"),
+    (lambda: wilson_interval(5, 3), r"successes must lie in \[0, 3\], got 5"),
+    (lambda: wilson_interval(-1, 3), r"successes must lie in \[0, 3\], got -1"),
+    (lambda: azuma_bound(5, float("nan")), "deviation must be positive, got nan"),
+]
+
+
 @pytest.mark.parametrize(
-    "call",
-    [
-        lambda: wilson_interval(0, 0),
-        lambda: no_shuffle_threshold(0, 10),
-        lambda: missing_message_prob(5, 5, 1.5),
-        lambda: missing_message_prob(5, 5, float("nan")),
-        lambda: fixed_assignment_threshold(10, 0.5),
-        lambda: expected_fixed_uncoded(10, -0.1),
-        lambda: expected_nowhere_covered(10, 5, 1.5),
-        lambda: expected_nowhere_covered(10, 5, float("nan")),
-        lambda: no_shuffle_failure_bound(10, 5, 1.5),
-        lambda: no_shuffle_failure_bound(10, 5, -0.5),
-        lambda: azuma_bound(0, 1.0),
-        lambda: outage_threshold(10, 0),
-    ],
+    "call, match", REJECTED, ids=[f"<lambda>{i}" for i in range(len(REJECTED))]
 )
-def test_closed_forms_reject_out_of_domain_arguments(call):
-    with pytest.raises(ValueError):
+def test_closed_forms_reject_out_of_domain_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
         call()
 
 
@@ -133,6 +138,15 @@ def test_wilson_interval_contains_phat():
     assert lo == 0.0 and hi > 0.0
     lo, hi = wilson_interval(10, 10)
     assert hi == pytest.approx(1.0) and lo < 1.0
+
+
+def test_wilson_interval_endpoints_are_exact():
+    # the formula alone reads 5.55e-17 for lo at (0, 3)
+    for t in range(1, 201):
+        lo, hi = wilson_interval(0, t)
+        assert lo == 0.0 and 0.0 < hi < 1.0
+        lo, hi = wilson_interval(t, t)
+        assert hi == 1.0 and 0.0 < lo < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -365,8 +365,7 @@ def test_coded_senders_are_the_lowest_nodes_holding_each_broadcast(K, seed):
 
 
 def test_each_receiver_set_is_searched_once(monkeypatch):
-    # partial assignments build matrices for the acyclic-rows prune too, so
-    # only the matrices handed to the minrank search are counted
+    # counts the receiver set of each matrix handed to the minrank search
     built, searched = {}, []
     build, search = coding.build_fitting_matrix, coding._supported_minrank
 
@@ -595,8 +594,28 @@ def sparse_patterns(draw):
 def test_acyclic_rows_match_oracle_and_bound_minrank(fm):
     mais = brute_mais(fm.demand_col, fm.free)
     for size in range(1, fm.n_rows + 2):
-        assert _has_acyclic_rows(fm, size) == (mais >= size)
+        assert _has_acyclic_rows(zip(fm.demand_col, fm.free), size) == (mais >= size)
     assert mais <= brute_minrank(fm.demand_col, fm.free, fm.n_cols)
+
+
+@st.composite
+def receiver_lists(draw):
+    """Up to seven (demand, held mask) receivers over up to eight messages."""
+    m = draw(st.integers(1, 8))
+    demands = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=7))
+    return [(j, draw(st.integers(0, (1 << m) - 1)) & ~(1 << j)) for j in demands]
+
+
+@settings(max_examples=200, deadline=None)
+@given(receiver_lists())
+def test_acyclic_rows_of_receivers_match_their_matrix(receivers):
+    # the coded search tests partial assignments' receivers without
+    # building their fitting matrix
+    fm = build_fitting_matrix(receivers)
+    for size in range(1, len(receivers) + 2):
+        assert _has_acyclic_rows(receivers, size) == _has_acyclic_rows(
+            zip(fm.demand_col, fm.free), size
+        )
 
 
 @pytest.mark.parametrize(
