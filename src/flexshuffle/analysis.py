@@ -251,6 +251,7 @@ def mc_outage(m, n, p, trials, seed) -> ProportionEstimate:
 def mc_fixed_uncoded(K, p, trials, seed) -> MeanEstimate:
     """Mean uncoded transmissions when function k is served only by its own
     pre-placed node: per function, 2 minus the inputs that node holds."""
+    _check_p(p)
     _check_trials(trials)
 
     def trial(t):

@@ -78,8 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve an instance file")
     solve.add_argument("instance", help="instance file path")
     solve.add_argument("--budget", type=int, default=8, help="max exact broadcast-set size")
-    solve.add_argument("--free-cap", type=int, default=20)
-    solve.add_argument("--assignment-cap", type=int, default=100_000)
     solve.add_argument(
         "--no-greedy-fallback",
         action="store_true",
@@ -91,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--require-coded",
         action="store_true",
-        help="fail with the CapExceeded exit code if the coded search is over cap",
+        help="fail with the CapExceeded exit code if the coded search runs out of work",
     )
     solve.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -214,12 +212,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    if min(args.budget, args.free_cap, args.assignment_cap) < 0:
+    if args.budget < 0:
         print("solve: parameters out of range", file=sys.stderr)
         return EXIT_USAGE
     result = coding.solve(
         load_instance(args.instance), budget=args.budget,
-        assignment_cap=args.assignment_cap, free_cap=args.free_cap,
         skip_coded=args.skip_coded, greedy_fallback=not args.no_greedy_fallback,
     )
     if args.require_coded and result.coded_refusal is not None:

@@ -11,11 +11,17 @@ optimal scalar-linear code length.
 Broadcasts here are made by the nodes themselves, so a transmitted
 combination must lie within a single node's side information
 (sender-supportability).
+
+Each call of ``best_coded_plan`` or ``minrank_gf2`` may spend ``MAX_NODES``
+units of search work and raises CapExceeded past them.  Every exponential
+loop is charged: a unit per assignment-search node, per row subset the
+completion search tries and per acyclic-rows ``grow``, and 2^rank units per
+span built.  The units are counted, not timed, so a refusal does not
+depend on the machine.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,34 +119,31 @@ def build_fitting_matrix(receivers) -> FittingMatrix:
     )
 
 
-# These caps only keep the refusals the coded search has always made; the
-# row search below needs neither to bound its memory.
-MAX_FREE = 24
-MAX_COLS = 32
+# Search work one call may spend; at README size (m=40, n=20, K=10) its
+# refusals take about a second.
+MAX_NODES = 300_000
 
 
-def _check_caps(fm: FittingMatrix, free_cap: int) -> None:
-    """Raise CapExceeded when the matrix has more free cells than
-    ``free_cap`` or ``MAX_FREE``, or more columns than ``MAX_COLS``."""
-    n_free = sum(f.bit_count() for f in fm.free)
-    cap = min(free_cap, MAX_FREE)
-    if n_free > cap:
-        raise CapExceeded("free cells", n_free, cap)
-    if fm.n_cols > MAX_COLS:
-        raise CapExceeded("fitting-matrix columns", fm.n_cols, MAX_COLS)
+def _spend(work: list[int], units: int = 1) -> None:
+    """Add ``units`` to ``work[0]``, the units a call has spent, and raise
+    CapExceeded once they pass ``MAX_NODES``."""
+    work[0] += units
+    if work[0] > MAX_NODES:
+        raise CapExceeded("search nodes", work[0], MAX_NODES)
 
 
-def _completions_by_rank(fm: FittingMatrix, below=None):
+def _completions_by_rank(fm: FittingMatrix, work: list[int], below=None):
     """(rank, rows) of each completion of rank below ``below`` (of every
     completion when it is None), lowest rank first; equal ranks come in
-    completion order.  The caller checks the caps.
+    completion order.  Each row subset tried spends a unit of ``work``.
 
     Completion order counts the free cells row-major, row 0's lowest.  For
     each rank t, rows are filled from the last to the first and each row's
     free subsets tried in ascending order, which visits completions in that
     order.  Adding rows never lowers a rank, so a prefix of rank above t is
     dropped with all its completions; those of rank below t came at an
-    earlier t, so the leaves of rank exactly t are yielded.
+    earlier t, so the leaves of rank exactly t are yielded.  A row holds
+    its demand's forced one, so rank 0 is tried only without rows.
     """
     n_cols = fm.n_cols
     rows = [0] * fm.n_rows
@@ -153,6 +156,7 @@ def _completions_by_rank(fm: FittingMatrix, below=None):
         one, free = 1 << fm.demand_col[r], fm.free[r]
         s = 0
         while True:
+            _spend(work)
             rows[r] = one | s
             grown = dict(basis)
             gf2.insert(grown, rows[r], n_cols)
@@ -163,18 +167,18 @@ def _completions_by_rank(fm: FittingMatrix, below=None):
                 break
 
     top = min(fm.n_rows, n_cols) if below is None else min(fm.n_rows, n_cols, below - 1)
-    for t in range(top + 1):
+    for t in range(min(fm.n_rows, 1), top + 1):
         yield from fill(fm.n_rows - 1, {}, t)
 
 
-def minrank_gf2(fm: FittingMatrix, free_cap: int = 20) -> MinrankResult:
+def minrank_gf2(fm: FittingMatrix) -> MinrankResult:
     """Minimum GF(2) rank over the completions, with the first completion
     of that rank, in completion order, as the witness.
 
     The matrix may be built by hand, so its rows are checked first: one
     free mask per row, each demand column and free bit inside the
     columns, and no free cell at a row's own demand.  Raises CapExceeded
-    (see ``_check_caps``) before any work.
+    past ``MAX_NODES`` units of search work.
     """
     if len(fm.demand_col) != len(fm.free):
         raise InvariantViolation("row-count")
@@ -185,12 +189,11 @@ def minrank_gf2(fm: FittingMatrix, free_cap: int = 20) -> MinrankResult:
             raise InvariantViolation("free-mask-range", f"row {r}")
         if f & (1 << dc):
             raise InvariantViolation("demand-cell-forced-one", f"row {r}")
-    _check_caps(fm, free_cap)
-    rank, witness = next(_completions_by_rank(fm))
+    rank, witness = next(_completions_by_rank(fm, [0]))
     return MinrankResult(rank=rank, witness=witness)
 
 
-def _has_acyclic_rows(rows, size: int) -> bool:
+def _has_acyclic_rows(rows, size: int, work: list[int]) -> bool:
     """Whether ``size`` of the (demand, mask) ``rows`` have distinct demands
     and no cycle in the digraph "row r -> row s when r's mask holds s's
     demand".
@@ -204,12 +207,14 @@ def _has_acyclic_rows(rows, size: int) -> bool:
     lower bound on minrank (Bar-Yossef, Birk, Jayram and Kol, FOCS 2006).
     Sets are grown by appending a row whose mask holds no demand already
     taken; whether a set can grow depends only on those demands, so each
-    demand set that cannot reach ``size`` is searched once.
+    demand set that cannot reach ``size`` is searched once.  Each ``grow``
+    spends a unit of ``work``.
     """
     rows = tuple(rows)
     dead: set[int] = set()
 
     def grow(taken: int, need: int) -> bool:
+        _spend(work)
         if need == 0:
             return True
         if taken not in dead:
@@ -224,14 +229,16 @@ def _has_acyclic_rows(rows, size: int) -> bool:
     return size <= len({demand for demand, _ in rows}) and grow(0, size)
 
 
-def _supportable_span(rows, n_cols: int, node_cols) -> list[int] | None:
+def _supportable_span(rows, n_cols: int, node_cols, work: list[int]) -> list[int] | None:
     """A sender-supportable basis of span(rows), or None if none exists.
 
     A vector is supportable when it lies inside one of the column masks
     ``node_cols``.  Span vectors are tried in increasing order and the
-    supportable ones kept when independent of those already kept.
+    supportable ones kept when independent of those already kept.  The
+    span's size is spent from ``work`` before it is built.
     """
     basis = gf2.gf2_row_basis(rows, n_cols)
+    _spend(work, 1 << len(basis))
     span = [0]
     for b in basis:
         span += [v ^ b for v in span]
@@ -245,14 +252,14 @@ def _supportable_span(rows, n_cols: int, node_cols) -> list[int] | None:
     return picked if len(picked) == len(basis) else None
 
 
-def _supported_minrank(fm: FittingMatrix, held: list[int], free_cap: int, below=None):
+def _supported_minrank(fm: FittingMatrix, held: list[int], work: list[int], below=None):
     """Minimum completion rank whose row space has a supportable basis.
 
     ``held`` gives each node's held messages as a bitmask over messages.
     Returns (rank, transmit basis) or (None, None) when no completion of
     rank below ``below`` (any rank when it is None) qualifies.  Completions
     are scanned in rank order so equal-rank witnesses are tried before the
-    rank is allowed to grow.  The caps are checked first in every case.
+    rank is allowed to grow.  The search spends from ``work``.
 
     ``below == 2`` asks only for rank 1, which has a closed form: the rows
     of a rank-1 completion are nonzero, hence all equal, and each holds its
@@ -267,7 +274,6 @@ def _supported_minrank(fm: FittingMatrix, held: list[int], free_cap: int, below=
     completion's rank from below (``_has_acyclic_rows``); when they exist no
     completion can qualify, and none is searched.
     """
-    _check_caps(fm, free_cap)
     if below == 2 and fm.n_rows:
         demanded = 0
         for dc in fm.demand_col:
@@ -280,22 +286,18 @@ def _supported_minrank(fm: FittingMatrix, held: list[int], free_cap: int, below=
     if (
         below is not None
         and below >= 3
-        and _has_acyclic_rows(zip(fm.demand_col, fm.free), below)
+        and _has_acyclic_rows(zip(fm.demand_col, fm.free), below, work)
     ):
         return None, None
     node_cols = set(_column_masks(fm.columns, held))
-    for rank, rows in _completions_by_rank(fm, below):
-        basis = _supportable_span(rows, fm.n_cols, node_cols)
+    for rank, rows in _completions_by_rank(fm, work, below):
+        basis = _supportable_span(rows, fm.n_cols, node_cols, work)
         if basis is not None:
             return rank, basis
     return None, None
 
 
-def best_coded_plan(
-    instance: Instance,
-    assignment_cap: int = 100_000,
-    free_cap: int = 20,
-) -> CodedPlan:
+def best_coded_plan(instance: Instance) -> CodedPlan:
     """Fewest sender-supportable coded broadcasts over all total assignments.
 
     Searches the injective assignments of the K functions to nodes for the
@@ -324,62 +326,30 @@ def best_coded_plan(
     same demands and cells, and form a triangular submatrix with ones on
     its diagonal, so every completion reaches the bound (the
     acyclic-induced-subgraph lower bound on minrank of Bar-Yossef, Birk,
-    Jayram and Kol, FOCS 2006).  A partial assignment is dropped only when
-    no extension can exceed the free-cell or column caps, so every refusal
-    is raised at the assignment where an unpruned search raises it.
+    Jayram and Kol, FOCS 2006).
+
+    Raises CapExceeded past ``MAX_NODES`` units of search work, each node
+    of the assignment search one of them.
     """
     raw = shuffle.greedy_raw_broadcasts(instance)
     if raw.size == 0:
         return CodedPlan(count=0, assignment=raw.assignment, broadcasts=(), senders=())
     K, n = instance.k, instance.n
-    total = math.perm(n, K)
-    if total > assignment_cap:
-        raise CapExceeded("assignments", total, assignment_cap)
-
     functions = instance.workload.functions
     held = _held_masks(instance.placement.cells)
-    lacked = [[sum(not h >> j & 1 for j in pair) for h in held] for pair in functions]
-    # later[k]: the inputs of functions k.. as a message bitmask
-    later = [0] * (K + 1)
-    for k in range(K - 1, -1, -1):
-        a, b = functions[k]
-        later[k] = later[k + 1] | 1 << a | 1 << b
-    cap = min(free_cap, MAX_FREE)
     nodes: list[int] = []
     unused = set(range(n))
     best: CodedPlan | None = None
     seen: set[frozenset] = set()
-
-    def cap_safe(unique) -> bool:
-        """Whether no assignment extending ``nodes`` can exceed a cap.
-
-        Its columns lie in ``cols``, the demands so far and every input of
-        the functions left, and each of its rows has at most as many free
-        cells as the row's held messages in ``cols``.  So each function left
-        adds at most the most such cells any unused node's rows for it
-        could have, one row per input the node lacks.
-        """
-        cols = later[len(nodes)]
-        for j, _ in unique:
-            cols |= 1 << j
-        if cols.bit_count() > MAX_COLS:
-            return False
-        in_cols = [(h & cols).bit_count() for h in held]
-        free = sum((h & cols).bit_count() for _, h in unique)
-        for k in range(len(nodes), K):
-            free += max(lacked[k][i] * in_cols[i] for i in unused)
-        return free <= cap
+    work = [0]
 
     def search(rows) -> None:
         nonlocal best
+        _spend(work)
         below = raw.size + 1 if best is None else best.count
         unique = tuple(dict.fromkeys(rows))
         if len(nodes) < K:
-            if (
-                below >= 2
-                and _has_acyclic_rows(unique, below)
-                and cap_safe(unique)
-            ):
+            if _has_acyclic_rows(unique, below, work):
                 return
             k = len(nodes)
             for i in sorted(unused):
@@ -402,7 +372,7 @@ def best_coded_plan(
             return
         seen.add(key)
         fm = build_fitting_matrix(unique)
-        rank, basis = _supported_minrank(fm, held, free_cap, below)
+        rank, basis = _supported_minrank(fm, held, work, below)
         if rank is None:
             return
         node_cols = _column_masks(fm.columns, held)
@@ -436,14 +406,14 @@ class SolveReport:
 
 
 def solve(
-    instance: Instance, budget: int = 8, assignment_cap: int = 100_000,
-    free_cap: int = 20, skip_coded: bool = False, greedy_fallback: bool = True,
+    instance: Instance, budget: int = 8, skip_coded: bool = False,
+    greedy_fallback: bool = True,
 ) -> SolveReport:
     """Y, T_raw, T_int and T_code of one instance, with their plans.
 
     T_raw is exact up to ``budget`` broadcasts, then greedy's, or without
     ``greedy_fallback`` BudgetExceeded propagates before any other solver
-    runs.  A coded search over its caps is reported, not raised.
+    runs.  A coded search past its work budget is reported, not raised.
     """
     try:
         raw, raw_solver = shuffle.min_raw_broadcasts(instance, budget=budget), "exact"
@@ -455,7 +425,7 @@ def solve(
     coded = refusal = None
     if not skip_coded:
         try:
-            coded = best_coded_plan(instance, assignment_cap, free_cap)
+            coded = best_coded_plan(instance)
         except CapExceeded as exc:
             refusal = exc
     return SolveReport(raw, raw_solver, inter, coded, refusal)

@@ -38,7 +38,7 @@ class BudgetExceeded(FlexShuffleError):
 
 
 class CapExceeded(FlexShuffleError):
-    """A brute-force search would exceed its configured cap."""
+    """A search ran past its cap on work."""
 
     def __init__(self, what: str, count: int, cap: int):
         self.what = what

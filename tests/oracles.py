@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 
 from flexshuffle import coding, shuffle
 from flexshuffle.coverage import Assignment, base_matching
 from flexshuffle.engine import Transcript, decode_payload, encode_payload
-from flexshuffle.errors import CapExceeded, DecodeFailure, InvariantViolation
+from flexshuffle.errors import DecodeFailure, InvariantViolation
 
 
 def side_sets(placement):
@@ -216,13 +215,13 @@ def brute_coded_count(instance):
     return best
 
 
-def permutation_coded_plan(instance, assignment_cap: int = 100_000, free_cap: int = 20):
+def permutation_coded_plan(instance):
     """``coding.best_coded_plan`` as a walk over every permutation.
 
     Each distinct receiver set is searched at its first assignment in
     ``itertools.permutations`` order, with no bound until a plan is found
     and below its count after that; the first plan reaching the least
-    count wins, and a pattern over a cap raises where the walk meets it.
+    count wins.  Each pattern's search has a work budget of its own.
     """
     shuffle._check_solvable(instance)
     K, n = instance.k, instance.n
@@ -232,9 +231,6 @@ def permutation_coded_plan(instance, assignment_cap: int = 100_000, free_cap: in
             count=0, assignment=Assignment(pairs=tuple(enumerate(match_fn))),
             broadcasts=(), senders=(),
         )
-    total = math.perm(n, K)
-    if total > assignment_cap:
-        raise CapExceeded("assignments", total, assignment_cap)
     functions = instance.workload.functions
     held = coding._held_masks(instance.placement.cells)
     best = None
@@ -249,7 +245,7 @@ def permutation_coded_plan(instance, assignment_cap: int = 100_000, free_cap: in
         seen.add(key)
         fm = coding.build_fitting_matrix(unique)
         rank, basis = coding._supported_minrank(
-            fm, held, free_cap, None if best is None else best.count
+            fm, held, [0], None if best is None else best.count
         )
         if rank is None:
             continue

@@ -198,7 +198,7 @@ def test_c08_oracle_equivalence_suite():
         try:
             plan = best_coded_plan(inst)
         except CapExceeded:
-            continue  # beyond the brute-force caps; resample
+            continue  # past the coded search's work budget; resample
         raw = min_raw_broadcasts(inst, budget=8)
         oracle = brute_min_raw_broadcasts(inst, max_size=6)
         assert oracle is not None and raw.size == len(oracle)

@@ -120,6 +120,9 @@ REJECTED = [
     (lambda: wilson_interval(5, 3), r"successes must lie in \[0, 3\], got 5"),
     (lambda: wilson_interval(-1, 3), r"successes must lie in \[0, 3\], got -1"),
     (lambda: azuma_bound(5, float("nan")), "deviation must be positive, got nan"),
+    (lambda: mc_fixed_uncoded(10, 1.5, 5, 1), "got 1.5"),
+    (lambda: mc_fixed_uncoded(10, -0.5, 5, 1), "got -0.5"),
+    (lambda: mc_fixed_uncoded(10, float("nan"), 5, 1), "got nan"),
 ]
 
 

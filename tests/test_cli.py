@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from flexshuffle import analysis, cli, coverage
+from flexshuffle import analysis, cli, coding, coverage
 from flexshuffle.instance import (
     demo_instance,
     instance_to_text,
@@ -64,7 +64,7 @@ def demo_file(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("flag", ["--budget", "--free-cap", "--assignment-cap"])
+@pytest.mark.parametrize("flag", ["--budget"])
 def test_solve_rejects_negative_caps(tmp_path, capsys, flag):
     code, out, err = run(capsys, "solve", str(demo_file(tmp_path)), flag, "-1")
     assert code == cli.EXIT_USAGE
@@ -169,24 +169,21 @@ def test_solve_sweep_size_reaches_greedy_at_once(tmp_path, capsys):
     assert code == cli.EXIT_OK
     lines = dict(line.split(" ", 1) for line in out.strip().splitlines())
     assert lines["raw_solver"] == "greedy"
+    assert lines["coded_skipped"].startswith("search nodes: ")
 
 
-def test_solve_cap_exit_code(tmp_path, capsys):
-    code, _, err = run(
-        capsys,
-        "solve",
-        str(demo_file(tmp_path)),
-        "--assignment-cap", "5",
-        "--require-coded",
-    )
+def test_solve_cap_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(coding, "MAX_NODES", 1)
+    code, _, err = run(capsys, "solve", str(demo_file(tmp_path)), "--require-coded")
     assert code == cli.EXIT_CAP
     assert "CapExceeded" in err
 
 
-def test_solve_cap_skips_quietly_by_default(tmp_path, capsys):
-    code, out, _ = run(capsys, "solve", str(demo_file(tmp_path)), "--assignment-cap", "5")
+def test_solve_cap_skips_quietly_by_default(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(coding, "MAX_NODES", 1)
+    code, out, _ = run(capsys, "solve", str(demo_file(tmp_path)))
     assert code == cli.EXIT_OK
-    assert "coded_broadcasts None\ncoded_skipped assignments: 24 exceeds cap 5\n" in out
+    assert "coded_broadcasts None\ncoded_skipped search nodes: 2 exceeds cap 1\n" in out
 
 
 def test_solve_parse_error_exit_code(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,6 +29,7 @@ from flexshuffle.coding import (
     minrank_gf2,
     solve,
 )
+from flexshuffle.analysis import no_shuffle_threshold
 from flexshuffle.coverage import Assignment
 from flexshuffle.errors import BudgetExceeded, CapExceeded, InvariantViolation
 from flexshuffle.instance import (
@@ -236,42 +238,66 @@ def test_minrank_matches_oracle_on_random_patterns():
         assert result.witness == tuple(sum(b << c for c, b in enumerate(r)) for r in first)
 
 
-def test_minrank_cap():
-    from flexshuffle.coding import FittingMatrix
-
+def test_minrank_cap(monkeypatch):
+    # five equal rows each try one subset before the rank-1 leaf
     fm = FittingMatrix(
         columns=tuple(range(8)),
         demand_col=tuple([0] * 5),
         free=tuple([0b11111110] * 5),
     )
-    with pytest.raises(CapExceeded):
-        minrank_gf2(fm, free_cap=20)
-    # a matrix with no rows is held to the column cap like any other
-    no_rows = FittingMatrix(columns=tuple(range(coding.MAX_COLS + 1)), demand_col=(), free=())
-    with pytest.raises(CapExceeded, match="fitting-matrix columns"):
-        minrank_gf2(no_rows)
+    monkeypatch.setattr(coding, "MAX_NODES", 5)
+    assert minrank_gf2(fm) == MinrankResult(rank=1, witness=(1,) * 5)
+    monkeypatch.setattr(coding, "MAX_NODES", 4)
+    with pytest.raises(CapExceeded, match="^search nodes: 5 exceeds cap 4$"):
+        minrank_gf2(fm)
+    # a matrix with no rows has one completion, the empty one, whatever
+    # its columns
+    no_rows = FittingMatrix(columns=tuple(range(40)), demand_col=(), free=())
+    assert minrank_gf2(no_rows) == MinrankResult(rank=0, witness=())
 
 
-def test_free_cells_are_capped_whatever_free_cap_is():
-    # one row demanding column 0 with every other column free: one free
-    # cell over the limit
-    n_cols = coding.MAX_FREE + 2
-    fm = FittingMatrix(
+def test_wide_rows_are_answered_or_refused_fast():
+    # one row with 25 free cells: rank 0 is not tried when there are rows,
+    # so the first subset tried gives the answer
+    n_cols = 26
+    wide = FittingMatrix(
         columns=tuple(range(n_cols)), demand_col=(0,), free=((1 << n_cols) - 2,)
     )
-    cap = f"^free cells: {coding.MAX_FREE + 1} exceeds cap {coding.MAX_FREE}$"
-    with pytest.raises(CapExceeded, match=cap):
-        minrank_gf2(fm, free_cap=coding.MAX_FREE + 10)
+    assert minrank_gf2(wide) == MinrankResult(rank=1, witness=(1,))
+    # two such rows: at rank 1 row 0 tries its 2**25 subsets against the
+    # first subset of row 1 and none fits, so the search stops on the
+    # subsets it tried (charged only per call of the row filler, one row
+    # of 20 free cells took 0.9 s on 3 units)
+    fm = FittingMatrix(
+        columns=tuple(range(n_cols)), demand_col=(0, 1),
+        free=((1 << n_cols) - 2, (1 << n_cols) - 3),
+    )
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match=f"^search nodes: {coding.MAX_NODES + 1} exceeds"):
+        minrank_gf2(fm)
+    assert time.perf_counter() - start < 10
+
+
+def test_span_is_charged_before_it_is_built():
+    # twenty independent rows span 2**20 vectors, charged all at once
+    n_cols = 20
+    fm = FittingMatrix(
+        columns=tuple(range(n_cols)), demand_col=tuple(range(n_cols)), free=(0,) * n_cols
+    )
+    with pytest.raises(CapExceeded, match="^search nodes: ") as refused:
+        _supported_minrank(fm, [mask(fm.columns)], [0])
+    assert refused.value.count > 2**n_cols
 
 
 def test_minrank_answers_at_the_free_cell_cap():
-    # exactly MAX_FREE free cells: ranking all 2**24 completions into a
-    # table took about 15 s on one core of a 2-core x86 machine
+    # 24 free cells, where a free-cell cap once stopped the search:
+    # ranking all 2**24 completions into a table took about 15 s on one
+    # core of a 2-core x86 machine
     fm = FittingMatrix(
         columns=tuple(range(6)), demand_col=tuple(range(6)), free=(30, 29, 58, 39, 15, 23)
     )
-    assert sum(f.bit_count() for f in fm.free) == coding.MAX_FREE
-    result = minrank_gf2(fm, free_cap=coding.MAX_FREE)
+    assert sum(f.bit_count() for f in fm.free) == 24
+    result = minrank_gf2(fm)
     assert result == MinrankResult(rank=2, witness=(31, 31, 46, 46, 31, 49))
 
 
@@ -337,7 +363,8 @@ def test_optimal_coded_matches_oracle():
 
 
 def test_coded_search_refuses_without_ranking_every_pattern(monkeypatch):
-    # searching every pattern made 4,573 calls, about a minute, before this refusal
+    # searching every pattern made 4,573 calls, about a minute; free-cell
+    # caps refused this draw, which the search now answers
     calls = 0
     completions_by_rank = coding._completions_by_rank
 
@@ -347,9 +374,11 @@ def test_coded_search_refuses_without_ranking_every_pattern(monkeypatch):
         return completions_by_rank(*args)
 
     monkeypatch.setattr(coding, "_completions_by_rank", counted)
-    with pytest.raises(CapExceeded, match="^free cells: 22 exceeds cap 20$"):
-        best_coded_plan(random_instance(10, 8, 5, 2, 0.3, seed=0))
+    inst = random_instance(10, 8, 5, 2, 0.3, seed=0)
+    plan = best_coded_plan(inst)
     assert calls <= 50
+    monkeypatch.undo()
+    assert plan == permutation_coded_plan(inst)
 
 
 @settings(max_examples=100, deadline=None)
@@ -399,9 +428,9 @@ def pinned_instances():
                 yield inst
 
 
-def coded_outcome(inst, **caps) -> str:
+def coded_outcome(inst) -> str:
     try:
-        return repr(best_coded_plan(inst, **caps))
+        return repr(best_coded_plan(inst))
     except CapExceeded as exc:
         return f"refused {exc}"
 
@@ -418,10 +447,9 @@ def test_coded_plans_are_pinned():
 
 
 def test_coded_plans_match_the_permutation_walk():
-    # the pruned search must give the walk's plan, or its refusal at the
-    # same assignment, at every cap
+    # the pruned search must give the walk's plan
     rng = random.Random(25)
-    draws = refused = 0
+    draws = 0
     while draws < 300:
         m = rng.randint(4, 9)
         n = rng.randint(2, min(7, m))
@@ -430,23 +458,16 @@ def test_coded_plans_match_the_permutation_walk():
         if missing_messages(inst):
             continue
         draws += 1
-        for cap in (3, 5, 8, 12, 20):
-            try:
-                expected = repr(permutation_coded_plan(inst, free_cap=cap))
-            except CapExceeded as exc:
-                expected = f"refused {exc}"
-                refused += 1
-            assert coded_outcome(inst, free_cap=cap) == expected, (m, n, K, cap)
-    assert refused >= 100
+        assert best_coded_plan(inst) == permutation_coded_plan(inst), (m, n, K)
 
 
 def test_coded_search_starts_bounded(monkeypatch):
     belows = []
     search = coding._supported_minrank
 
-    def recorded(fm, held, free_cap, below=None):
+    def recorded(fm, held, work, below=None):
         belows.append(below)
-        return search(fm, held, free_cap, below)
+        return search(fm, held, work, below)
 
     monkeypatch.setattr(coding, "_supported_minrank", recorded)
     for inst in pinned_instances():
@@ -458,10 +479,21 @@ def test_coded_search_starts_bounded(monkeypatch):
     assert len(belows) <= 20
 
 
-def test_optimal_coded_assignment_cap():
-    # demo needs transmissions, and perm(4, 3) = 24 > 5
-    with pytest.raises(CapExceeded):
-        best_coded_plan(demo_instance(), assignment_cap=5)
+def test_sweep_size_coded_search_refuses_fast():
+    # all but 13 of the units, one per assignment-search node, go to
+    # acyclic-rows grow calls
+    p = 0.5 * no_shuffle_threshold(100, 50)
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match=f"^search nodes: {coding.MAX_NODES + 1} exceeds"):
+        best_coded_plan(random_instance(100, 100, 50, 2, p, 5, 0))
+    assert time.perf_counter() - start < 10
+
+
+def test_optimal_coded_refuses_past_the_work_budget(monkeypatch):
+    # the root and the first node it tries
+    monkeypatch.setattr(coding, "MAX_NODES", 1)
+    with pytest.raises(CapExceeded, match="^search nodes: 2 exceeds cap 1$"):
+        best_coded_plan(demo_instance())
 
 
 def test_solve_demo_counts():
@@ -488,11 +520,12 @@ def test_solve_without_fallback_raises_before_the_coded_search(monkeypatch):
         solve(demo_instance(), budget=1, greedy_fallback=False)
 
 
-def test_solve_records_a_coded_refusal():
-    # perm(4, 3) = 24 assignments exceed the cap; the CLI prints this text
-    report = solve(demo_instance(), assignment_cap=5)
+def test_solve_records_a_coded_refusal(monkeypatch):
+    # the CLI prints this text
+    monkeypatch.setattr(coding, "MAX_NODES", 1)
+    report = solve(demo_instance())
     assert report.coded is None
-    assert str(report.coded_refusal) == "assignments: 24 exceeds cap 5"
+    assert str(report.coded_refusal) == "search nodes: 2 exceeds cap 1"
     assert report.raw.size == 2
 
 
@@ -553,9 +586,9 @@ def bits(row, n_cols):
 def test_supported_minrank_below_matches_oracle(case):
     fm, node_masks = case  # columns are messages 0..n_cols-1
     want = brute_supported_minrank(fm.demand_col, fm.free, fm.n_cols, node_masks)
-    unbounded = _supported_minrank(fm, node_masks, 20)
+    unbounded = _supported_minrank(fm, node_masks, [0])
     for below in [None, *range(1, fm.n_cols + 2)]:
-        rank, basis = _supported_minrank(fm, node_masks, 20, below)
+        rank, basis = _supported_minrank(fm, node_masks, [0], below)
         if want is None or (below is not None and want >= below):
             assert (rank, basis) == (None, None)
             continue
@@ -594,7 +627,7 @@ def sparse_patterns(draw):
 def test_acyclic_rows_match_oracle_and_bound_minrank(fm):
     mais = brute_mais(fm.demand_col, fm.free)
     for size in range(1, fm.n_rows + 2):
-        assert _has_acyclic_rows(zip(fm.demand_col, fm.free), size) == (mais >= size)
+        assert _has_acyclic_rows(zip(fm.demand_col, fm.free), size, [0]) == (mais >= size)
     assert mais <= brute_minrank(fm.demand_col, fm.free, fm.n_cols)
 
 
@@ -613,28 +646,6 @@ def test_acyclic_rows_of_receivers_match_their_matrix(receivers):
     # building their fitting matrix
     fm = build_fitting_matrix(receivers)
     for size in range(1, len(receivers) + 2):
-        assert _has_acyclic_rows(receivers, size) == _has_acyclic_rows(
-            zip(fm.demand_col, fm.free), size
+        assert _has_acyclic_rows(receivers, size, [0]) == _has_acyclic_rows(
+            zip(fm.demand_col, fm.free), size, [0]
         )
-
-
-@pytest.mark.parametrize(
-    "fm, free_cap",
-    [
-        # every off-demand cell free: the closed form would find rank 1
-        (FittingMatrix(columns=tuple(range(5)), demand_col=tuple(range(5)),
-                       free=tuple(0b11111 & ~(1 << r) for r in range(5))), 19),
-        (FittingMatrix(columns=tuple(range(33)), demand_col=tuple(range(33)),
-                       free=(0,) * 33), 20),
-        # free cells above the diagonal only: the acyclic-rows bound gives rank 5
-        (FittingMatrix(columns=tuple(range(5)), demand_col=tuple(range(5)),
-                       free=tuple(0b11111 & ~((2 << r) - 1) for r in range(5))), 9),
-    ],
-)
-def test_rank_one_test_checks_caps_first(fm, free_cap):
-    everything = [mask(fm.columns)]
-    with pytest.raises(CapExceeded):
-        _supported_minrank(fm, everything, free_cap)
-    for below in (2, 3):
-        with pytest.raises(CapExceeded):
-            _supported_minrank(fm, everything, free_cap, below=below)

@@ -193,8 +193,6 @@ def test_unreached_public_defs_are_found(source, others, found):
 UNSET_DEFAULTS_KEPT = {
     # sweep's nodes_per_function, for the fixed baseline run on its own
     "mc_fixed_no_shuffle.nodes_per_function",
-    # best_coded_plan's free_cap, for a fitting matrix ranked on its own
-    "minrank_gf2.free_cap",
 }
 
 
