@@ -265,9 +265,8 @@ def test_wide_rows_are_answered_or_refused_fast():
     )
     assert minrank_gf2(wide) == MinrankResult(rank=1, witness=(1,))
     # two such rows: at rank 1 row 0 tries its 2**25 subsets against the
-    # first subset of row 1 and none fits, so the search stops on the
-    # subsets it tried (charged only per call of the row filler, one row
-    # of 20 free cells took 0.9 s on 3 units)
+    # first subset of row 1 and none fits, so the search must stop on the
+    # subsets it tried
     fm = FittingMatrix(
         columns=tuple(range(n_cols)), demand_col=(0, 1),
         free=((1 << n_cols) - 2, (1 << n_cols) - 3),
