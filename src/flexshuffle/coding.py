@@ -120,7 +120,7 @@ def build_fitting_matrix(receivers) -> FittingMatrix:
 
 
 # Search work one call may spend; at README size (m=40, n=20, K=10) its
-# refusals take under half a second on a 2-core x86 machine.
+# refusals take under a second on a 2-core x86 machine.
 MAX_NODES = 300_000
 
 
